@@ -39,7 +39,6 @@ from .simplicial import (
     SimplicialPair,
     chain_complex,
     f_vector,
-    faces_of_dim,
     part_deficient_complex,
     relative_chain_complex,
     strand_support_pair,

@@ -58,6 +58,24 @@ def minimal_sets(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     return tuple(sorted(kept, key=sorted_key))
 
 
+def _nested_pair(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Some pair (s, t) of members with s contained in t, a repeated member
+    counting as (s, s); None for an antichain without repeats.  Containment
+    is only tested across sizes: distinct sets of one size cannot contain
+    each other."""
+    by_size: dict[int, set[frozenset[int]]] = {}
+    for s in sets:
+        same = by_size.setdefault(len(s), set())
+        if s in same:
+            return s, s
+        same.add(s)
+    for k, l in itertools.combinations(sorted(by_size), 2):
+        for s, t in itertools.product(by_size[k], by_size[l]):
+            if s <= t:
+                return s, t
+    return None
+
+
 @dataclass(frozen=True)
 class VertexTable:
     """Ordered vertex names, optionally with a part label per vertex.
@@ -118,13 +136,13 @@ class VertexTable:
     def without_parts(self) -> "VertexTable":
         return VertexTable(self.names, None) if self.parts is not None else self
 
-    def restricted(self, w: frozenset[int], keep_parts: bool = True) -> "VertexTable":
+    def restricted(self, w: frozenset[int]) -> "VertexTable":
         """Sub-table on w, order inherited.  Surviving parts are renumbered
-        compactly in their original order; the partition is dropped when
-        keep_parts is false or when there was none."""
+        compactly in their original order; there is no partition when there
+        was none or when w is empty."""
         order = sorted(w)
         names = tuple(self.names[v] for v in order)
-        if self.parts is None or not keep_parts or not order:
+        if self.parts is None or not order:
             return VertexTable(names, None)
         surviving = sorted({self.parts[v] for v in order})
         renum = {p: i for i, p in enumerate(surviving)}
@@ -146,11 +164,11 @@ class Clutter:
                 raise ValueError("edge vertex out of range")
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate edge")
-        for e, f in itertools.combinations(edges, 2):
-            if e <= f or f <= e:
-                raise ValueError(
-                    f"not an antichain: {self.vertices.label(e)} and {self.vertices.label(f)}"
-                )
+        if nested := _nested_pair(edges):
+            e, f = nested
+            raise ValueError(
+                f"not an antichain: {self.vertices.label(e)} and {self.vertices.label(f)}"
+            )
         if self.vertices.parts is not None:
             for e in edges:
                 counts = [0] * (self.vertices.d or 0)

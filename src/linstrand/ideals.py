@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .clutters import Clutter, VertexTable, d_partite_complement, minimal_sets, minimal_vertex_covers, sorted_key
+from .clutters import Clutter, VertexTable, _nested_pair, d_partite_complement, minimal_sets, minimal_vertex_covers, sorted_key
 from .errors import ConsistencyError
 
 __all__ = [
@@ -54,9 +54,8 @@ class SquarefreeIdeal:
                 raise ValueError("generator support out of range")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator")
-        for g, h in itertools.combinations(gens, 2):
-            if g <= h or h <= g:
-                raise ValueError("generators must form an antichain")
+        if _nested_pair(gens):
+            raise ValueError("generators must form an antichain")
         object.__setattr__(self, "generators", tuple(sorted(gens, key=sorted_key)))
 
     @property

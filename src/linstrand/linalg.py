@@ -106,12 +106,6 @@ class Matrix:
             out[r][c] = v
         return out
 
-    def columns(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
-        for r, c, v in self.entries:
-            out[c][r] = v
-        return out
-
     def compose(self, other: "Matrix") -> "Matrix":
         """self @ other, exactly, over the integers."""
         if self.ncols != other.nrows:

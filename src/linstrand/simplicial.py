@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clutters import Clutter, VertexTable, d_partite_complement, independent_sets, sorted_key
+from .clutters import Clutter, VertexTable, _nested_pair, d_partite_complement, independent_sets, sorted_key
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError
 from .linalg import ChainComplex, Matrix
 
 __all__ = [
     "SimplicialComplex",
     "SimplicialPair",
-    "faces_of_dim",
     "chain_complex",
     "relative_chain_complex",
     "strand_support_pair",
@@ -45,10 +44,8 @@ class SimplicialComplex:
         for f in facets:
             if not all(0 <= v < n for v in f):
                 raise ValueError("facet vertex out of range")
-        for i, f in enumerate(facets):
-            for g in facets[i + 1:]:
-                if f <= g or g <= f:
-                    raise ValueError("facets must form an antichain")
+        if _nested_pair(facets):
+            raise ValueError("facets must form an antichain")
         object.__setattr__(self, "facets", tuple(sorted(facets, key=sorted_key)))
         by_dim: dict[int, set[frozenset[int]]] = {}
         for f in self.facets:
@@ -63,10 +60,6 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return not self.facets
-
-    @property
-    def contains_empty_face(self) -> bool:
-        return bool(self.facets)
 
     @property
     def dim(self) -> int:
@@ -114,27 +107,29 @@ class SimplicialPair:
         return self.x.dim
 
 
-def faces_of_dim(x: SimplicialComplex | SimplicialPair, k: int) -> tuple[frozenset[int], ...]:
-    """The k-dimensional faces (of the complex, or of the pair), in the fixed
-    basis order: ascending vertex tuples compared lexicographically."""
-    return x.faces(k)
+def _signed_drops(sources: tuple[frozenset[int], ...], targets: tuple[frozenset[int], ...]):
+    """The signed-drop rule: for each source set (a column) and each vertex v
+    of it whose removal lands on a target set (a row), yield
+    (row, col, (-1)**t, v), v being the t-th smallest vertex of the source
+    counting from 0.  Columns come in order, vertices ascending."""
+    index = {t: i for i, t in enumerate(targets)}
+    for col, f in enumerate(sources):
+        for t, v in enumerate(sorted(f)):
+            row = index.get(f - {v})
+            if row is not None:
+                yield row, col, -1 if t % 2 else 1, v
 
 
 def _boundary_matrix(
     sources: tuple[frozenset[int], ...], targets: tuple[frozenset[int], ...]
 ) -> Matrix:
-    index = {t: i for i, t in enumerate(targets)}
-    entries = []
-    for col, f in enumerate(sources):
-        for t, v in enumerate(sorted(f)):
-            row = index.get(f - {v})
-            if row is not None:
-                entries.append((row, col, -1 if t % 2 else 1))
+    entries = ((row, col, sign) for row, col, sign, _ in _signed_drops(sources, targets))
     return Matrix.from_entries(len(targets), len(sources), entries)
 
 
 def chain_complex(x: SimplicialComplex, reduced: bool = False) -> ChainComplex:
-    """The (augmented, if reduced) simplicial chain complex of x.
+    """The (augmented, if reduced) simplicial chain complex of x, as the pair
+    x modulo the void complex (reduced) or modulo {emptyset} (not reduced).
 
     The void complex yields the empty chain complex; {emptyset} reduced yields
     one basis element in degree -1 and nothing else, so its reduced homology
@@ -142,25 +137,21 @@ def chain_complex(x: SimplicialComplex, reduced: bool = False) -> ChainComplex:
     """
     if x.is_void:
         return ChainComplex({}, {})
-    lo = -1 if reduced else 0
-    dims = {k: len(x.faces(k)) for k in range(lo, x.dim + 1)}
-    boundaries = {
-        k: _boundary_matrix(x.faces(k), x.faces(k - 1))
-        for k in range(lo + 1, x.dim + 1)
-    }
-    return ChainComplex(dims, boundaries)
+    y = SimplicialComplex(x.vertices, () if reduced else (frozenset(),))
+    return relative_chain_complex(SimplicialPair(x, y))
 
 
 def relative_chain_complex(p: SimplicialPair) -> ChainComplex:
     """The chain complex of the pair: quotient bases, boundary terms into y
     dropped."""
     lo = -1 if p.y.is_void and not p.x.is_void else 0
-    present = [k for k in range(lo, p.x.dim + 1) if p.faces(k)]
+    faces = {k: p.faces(k) for k in range(lo, p.x.dim + 1)}
+    present = [k for k, fs in faces.items() if fs]
     if not present:
         return ChainComplex({}, {})
-    dims = {k: len(p.faces(k)) for k in range(min(present), max(present) + 1)}
+    dims = {k: len(faces[k]) for k in range(min(present), max(present) + 1)}
     boundaries = {
-        k: _boundary_matrix(p.faces(k), p.faces(k - 1))
+        k: _boundary_matrix(faces[k], faces[k - 1])
         for k in dims
         if k - 1 in dims
     }

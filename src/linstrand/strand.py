@@ -15,6 +15,13 @@ the independence complex of the complement modulo the part-deficient
 subcomplex, and the matrix of scalars above is exactly the relative boundary
 matrix; verify_support checks that correspondence entry by entry.
 
+The basis is grown from the edges: level 0 is the edges of c (a transversal
+is independent in the complement exactly when it is an edge of c), and level
+i + 1 is every level-i set plus one vertex v such that no complement edge
+through v lands inside.  Every basis set is reached: one with more than d
+vertices meets some part twice, and dropping one of those two vertices gives
+a basis set one level down.
+
 Evaluating x_v at a squarefree multidegree b (keep basis elements inside b,
 scalars as they are) gives the complex whose homology controls whether the
 strand is a resolution there; strand_homology_at computes it.
@@ -22,14 +29,13 @@ strand is a resolution there; strand_homology_at computes it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .clutters import Clutter, VertexTable, d_partite_complement, sorted_key
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 from .linalg import ChainComplex, Field, Matrix, QQ, homology_dims
-from .simplicial import SimplicialPair, relative_chain_complex
+from .simplicial import SimplicialPair, _signed_drops, relative_chain_complex
 
 __all__ = ["StrandEntry", "StrandComplex", "SupportReport", "first_linear_strand", "verify_support", "strand_homology_at"]
 
@@ -105,50 +111,36 @@ class StrandComplex:
         return ChainComplex(dims, boundaries)
 
 
-def _meets_every_part(s: frozenset[int], parts: tuple[frozenset[int], ...]) -> bool:
-    return all(s & p for p in parts)
-
-
 def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> StrandComplex:
     """Construct the first linear strand of the edge ideal of c.
 
-    Basis sets are enumerated in the fixed order (ascending vertex tuples);
-    a level is the independent transversal-meeting sets of one cardinality,
-    starting at cardinality d, and the levels stop at the last nonempty one.
+    Level 0 is c.edges; level i + 1 is every a | {v} with a in level i, v not
+    in a, and no complement edge through v inside a | {v}, up to the first
+    empty level.  Every basis set is reached: one with more than d vertices
+    meets a part twice, and dropping either of those two vertices leaves a
+    basis set one level down.  Levels are in ascending vertex-tuple order.
     Validates its own differential by composing consecutive skeletons.
     """
     if c.vertices.parts is None:
         raise ValueError("the strand construction needs a partitioned clutter")
     check_vertex_guard(c.n, max_vertices)
-    comp = d_partite_complement(c)
-    comp_edges = comp.edges
-    parts = c.part_sets()
-    d = c.vertices.d
+    # a complement edge e through v lies inside a | {v} exactly when e - {v} lies inside a
+    rests = [[e - {v} for e in d_partite_complement(c).edges if v in e] for v in range(c.n)]
     levels: list[tuple[frozenset[int], ...]] = []
-    for size in range(d, c.n + 1):
-        level = []
-        for combo in itertools.combinations(range(c.n), size):
-            s = frozenset(combo)
-            if not _meets_every_part(s, parts):
-                continue
-            if any(e <= s for e in comp_edges):
-                continue
-            level.append(s)
-        if not level:
-            break
-        levels.append(tuple(sorted(level, key=sorted_key)))
+    level = c.edges
+    while level:
+        levels.append(level)
+        grown = {
+            a | {v}
+            for a in level
+            for v in range(c.n)
+            if v not in a and not any(r <= a for r in rests[v])
+        }
+        level = tuple(sorted(grown, key=sorted_key))
     differentials: list[tuple[StrandEntry, ...]] = [()] if levels else []
     for i in range(1, len(levels)):
-        index = {s: r for r, s in enumerate(levels[i - 1])}
-        entries = []
-        for col, a in enumerate(levels[i]):
-            for t, v in enumerate(sorted(a)):
-                b = a - {v}
-                row = index.get(b)
-                if row is not None:
-                    entries.append(StrandEntry(row, col, -1 if t % 2 else 1, v))
-        differentials.append(tuple(entries))
-    strand = StrandComplex(d, c.vertices, tuple(levels), tuple(differentials))
+        differentials.append(tuple(StrandEntry(*e) for e in _signed_drops(levels[i], levels[i - 1])))
+    strand = StrandComplex(c.vertices.d, c.vertices, tuple(levels), tuple(differentials))
     strand.skeleton_complex()  # raises if the squares do not vanish
     return strand
 

@@ -26,6 +26,7 @@ from linstrand import (
 
 from helpers import (
     BUNDLED_FIXTURES,
+    brute_independent_sets,
     corner_star_four_parts,
     fourteen_of_sixteen_transversals,
     nine_edge_bipartite,
@@ -155,6 +156,17 @@ def test_criterion_7_structural_invariants():
         for c in instances:
             s = first_linear_strand(c)
             s.skeleton_complex()  # raises unless all squares vanish
+            parts = c.part_sets()
+            basis = [
+                a
+                for a in brute_independent_sets(c.n, d_partite_complement(c).edges)
+                if all(a & p for p in parts)
+            ]
+            top = max(map(len, basis), default=c.vertices.d - 1)
+            assert s.levels == tuple(
+                tuple(sorted((a for a in basis if len(a) == size), key=lambda a: tuple(sorted(a))))
+                for size in range(c.vertices.d, top + 1)
+            )
             report = verify_support(s, strand_support_pair(c))
             assert report.ok, report.mismatches
             hy = homology_dims(chain_complex(part_deficient_complex(c.vertices), reduced=True), QQ)
@@ -162,7 +174,6 @@ def test_criterion_7_structural_invariants():
             assert hy.get(d - 2, 0) == 1
             assert all(v == 0 for k, v in hy.items() if k != d - 2)
             if c.n <= 10:
-                parts = c.part_sets()
                 covers = minimal_vertex_covers(c)
                 comp_covers = minimal_vertex_covers(d_partite_complement(c))
                 assert squarefree_colon(parts, covers, c.n) == comp_covers
