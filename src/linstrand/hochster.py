@@ -3,14 +3,24 @@ formula.
 
 beta_{i,sigma}(I) is the dimension of the reduced homology in degree
 |sigma| - i - 2 of the independence complex of the generator supports
-restricted to sigma, over the coefficient field.  Everything here enumerates
-all 2^n squarefree multidegrees directly and is therefore exponential in n;
-that is the point: this module is the oracle the strand construction is
-validated against, so it shares no code with the strand or the relative-pair
-route beyond exact rank computation.
+restricted to sigma, over the coefficient field.  The sweeps run over the 2^n
+squarefree multidegrees and are therefore exponential in n.  Only those sigma
+that are the union of the generators they contain are worked on (Betti
+numbers live on the lcm lattice): if some vertex v of sigma lies in none of
+those generators, adding v to a face of the restricted complex never creates
+a generator, so the complex is a cone with apex v, all its reduced homology
+vanishes and beta_{i,sigma} = 0 for every i.
+
+This module is the oracle the strand construction is validated against, so
+it shares no code with the strand or the relative-pair route beyond exact
+rank computation: it never reads the strand's basis, the part structure or
+the relative pair, only the generators, and derives every number from
+faces and boundary matrices of its own.  The lcm skip uses nothing but the
+generators either, so it keeps that independence.
 
 Faces are handled as bitmasks, enumerated once per ideal and filtered per
-multidegree by mask intersection.
+multidegree by mask intersection; a single-degree query filters only the
+three cardinalities its two ranks read.
 """
 
 from __future__ import annotations
@@ -89,14 +99,30 @@ def _mask_boundary(sources: list[int], targets: list[int], n: int) -> Matrix:
     return Matrix.from_entries(len(targets), len(sources), entries)
 
 
+def _lcm_closed(sigma: int, gen_masks: list[int]) -> bool:
+    """Whether sigma is the union of the generator masks it contains.  Any
+    other multidegree has a vertex outside all of them, a cone apex of the
+    restricted complex, so every beta_{i,sigma} there is zero."""
+    union = 0
+    for g in gen_masks:
+        if g & sigma == g:
+            union |= g
+    return union == sigma
+
+
 def _restricted_reduced_homology(
     by_card: list[list[int]], sigma: int, n: int, f: Field, only_degree: int | None = None
 ) -> dict[int, int]:
     """Reduced homology dimensions of the independence complex restricted to
     the multidegree sigma; keys are dimensions (cardinality minus one).
-    With only_degree = k, just {k: dim}."""
-    faces = [[m for m in row if m & ~sigma == 0] for row in by_card]
-    top = max((c for c, row in enumerate(faces) if row), default=-1)
+    With only_degree = k, just {k: dim}, read from the faces of cardinality
+    k, k + 1 and k + 2 alone."""
+    if only_degree is None:
+        window = range(n + 1)
+    else:
+        window = range(max(only_degree, 0), min(only_degree + 2, n) + 1)
+    faces = {c: [m for m in by_card[c] if m & ~sigma == 0] for c in window}
+    top = max((c for c, row in faces.items() if row), default=-1)
     if top < 0:
         return {}
     degrees = range(-1, top) if only_degree is None else (only_degree,)
@@ -104,7 +130,7 @@ def _restricted_reduced_homology(
 
     def del_rank(c: int) -> int:
         # rank of the boundary from cardinality c to cardinality c - 1
-        if c < 1 or c > top or not faces[c] or not faces[c - 1]:
+        if c < 1 or c > top or not faces.get(c) or not faces.get(c - 1):
             return 0
         if c not in cache:
             cache[c] = rank(_mask_boundary(faces[c], faces[c - 1], n), f)
@@ -128,7 +154,7 @@ def _prepare(i: SquarefreeIdeal, max_vertices: int):
         raise ValueError("the zero ideal has no Betti table")
     n = i.vertices.n
     gen_masks = [sum(1 << v for v in g) for g in i.generators]
-    return n, _independent_masks(n, gen_masks)
+    return n, gen_masks, _independent_masks(n, gen_masks)
 
 
 def _unmask(sigma: int, n: int) -> frozenset[int]:
@@ -143,12 +169,12 @@ def betti_table(
 ) -> BettiTable:
     """All nonzero beta_{i,sigma} with |sigma| at most degree_cap (all of
     them when the cap is None), over the field f."""
-    n, by_card = _prepare(i, max_vertices)
+    n, gen_masks, by_card = _prepare(i, max_vertices)
     cap = n if degree_cap is None else min(degree_cap, n)
     multigraded: dict[tuple[int, frozenset[int]], int] = {}
     for sigma in range(1 << n):
         size = sigma.bit_count()
-        if size > cap:
+        if size > cap or not _lcm_closed(sigma, gen_masks):
             continue
         h = _restricted_reduced_homology(by_card, sigma, n, f)
         for k, v in h.items():
@@ -166,8 +192,10 @@ def multigraded_betti(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> int:
     """A single beta_{i,sigma} without sweeping the whole table."""
-    n, by_card = _prepare(i, max_vertices)
+    n, gen_masks, by_card = _prepare(i, max_vertices)
     smask = sum(1 << v for v in sigma)
+    if not _lcm_closed(smask, gen_masks):
+        return 0
     k = len(sigma) - hom_degree - 2
     return _restricted_reduced_homology(by_card, smask, n, f, only_degree=k).get(k, 0)
 
@@ -184,13 +212,13 @@ def linear_strand_betti(
     reduced homology of the restricted complex in the single degree d - 2,
     so this costs two ranks per multidegree instead of a full homology run.
     """
-    n, by_card = _prepare(i, max_vertices)
+    n, gen_masks, by_card = _prepare(i, max_vertices)
     d = i.min_degree
     graded: dict[int, int] = {}
     multigraded: dict[tuple[int, frozenset[int]], int] = {}
     for sigma in range(1 << n):
         size = sigma.bit_count()
-        if size < d:
+        if size < d or not _lcm_closed(sigma, gen_masks):
             continue
         v = _restricted_reduced_homology(by_card, sigma, n, f, only_degree=d - 2).get(d - 2, 0)
         if v:

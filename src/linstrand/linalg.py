@@ -4,8 +4,12 @@ Matrices here are small (hundreds of rows at most) and very sparse, with
 integer entries; everything the rest of the library needs is the rank and the
 chain-complex bookkeeping around it.  Rank over the rationals is computed by
 fraction-free integer elimination (rows are combined integrally and divided by
-their gcd), rank over GF(p) by ordinary modular elimination.  Pivots are
-chosen Markowitz-style: a shortest row, then its sparsest column.
+their gcd), rank over GF(p) by ordinary modular elimination; one kernel,
+`_eliminate`, does both.  Pivots are chosen Markowitz-style: a shortest row,
+then its sparsest column, preferring a unit entry (1 or -1, invertible over
+every field and free of gcd growth) among equally sparse columns, then the
+lowest index.  Each column's set of active rows is kept up to date as rows
+change, so choosing a pivot needs no recount.
 """
 
 from __future__ import annotations
@@ -123,82 +127,77 @@ class Matrix:
         return not self.entries
 
 
-def _pivot(active: list[dict[int, int]]) -> tuple[dict[int, int], int]:
-    row = min(active, key=len)
-    counts: dict[int, int] = {}
-    for r in active:
+def _eliminate(rows: list[dict[int, int]], p: int) -> int:
+    """Rank of the rows (col -> nonzero value, already reduced mod p when
+    p > 0) by sparse elimination; the rows are consumed.
+
+    Each column keeps the set of active rows that have an entry in it, updated
+    as rows change, so a pivot reaches exactly the rows it clears.  The pivot
+    is a shortest row and, in it, a column with fewest active rows; among
+    those a unit entry (1 or -1, which is p - 1 mod p and -1 itself when
+    p = 0) comes first, then the lowest index.  When p = 0 rows are combined
+    fraction-free, a*r - b*pivot with a > 0, and divided by the gcd of their
+    entries; otherwise modulo p.
+    """
+    active = {i: r for i, r in enumerate(rows) if r}
+    support: dict[int, set[int]] = {}
+    for i, r in active.items():
         for c in r:
-            counts[c] = counts.get(c, 0) + 1
-    col = min(row, key=lambda c: (counts[c], c))
-    return row, col
-
-
-def _rank_rationals(active: list[dict[int, int]]) -> int:
+            support.setdefault(c, set()).add(i)
     rk = 0
     while active:
-        piv, pc = _pivot(active)
-        active.remove(piv)
-        pv = piv[pc]
+        i = min(active, key=lambda k: len(active[k]))
+        piv = active.pop(i)
+        pc = min(piv, key=lambda c: (len(support[c]), piv[c] not in (1, p - 1), c))
+        pv = piv.pop(pc)
+        hits = support.pop(pc)
+        hits.discard(i)
+        for c in piv:
+            support[c].discard(i)
         rk += 1
-        survivors = []
-        for r in active:
-            f = r.get(pc)
-            if f is None:
-                survivors.append(r)
-                continue
-            new: dict[int, int] = {}
-            for c in r.keys() | piv.keys():
-                nv = pv * r.get(c, 0) - f * piv.get(c, 0)
+        inv = pow(pv, -1, p) if p else 0
+        for j in hits:
+            r = active[j]
+            f = r.pop(pc)
+            if p:
+                b = f * inv % p
+            else:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    for c in r:
+                        r[c] *= a
+            for c, v in piv.items():
+                old = r.get(c)
+                nv = (0 if old is None else old) - b * v
+                if p:
+                    nv %= p
                 if nv:
-                    new[c] = nv
-            if new:
-                g = 0
-                for v in new.values():
-                    g = math.gcd(g, v)
+                    if old is None:
+                        support[c].add(j)
+                    r[c] = nv
+                elif old is not None:
+                    del r[c]
+                    support[c].discard(j)
+            if not r:
+                del active[j]
+            elif not p:
+                g = math.gcd(*r.values())
                 if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                survivors.append(new)
-        active = survivors
-    return rk
-
-
-def _rank_mod_p(active: list[dict[int, int]], p: int) -> int:
-    rk = 0
-    while active:
-        piv, pc = _pivot(active)
-        active.remove(piv)
-        inv = pow(piv[pc], p - 2, p)
-        rk += 1
-        survivors = []
-        for r in active:
-            f = r.get(pc)
-            if f is None:
-                survivors.append(r)
-                continue
-            f = (f * inv) % p
-            new: dict[int, int] = {}
-            for c in r.keys() | piv.keys():
-                nv = (r.get(c, 0) - f * piv.get(c, 0)) % p
-                if nv:
-                    new[c] = nv
-            if new:
-                survivors.append(new)
-        active = survivors
+                    for c in r:
+                        r[c] //= g
     return rk
 
 
 def rank(m: Matrix, field: Field = QQ) -> int:
     """Rank of m over the field.  Exact in both characteristics."""
     p = field.characteristic
-    if p == 0:
-        active = [r for r in m.rows() if r]
-        return _rank_rationals(active)
-    active = []
-    for r in m.rows():
-        rr = {c: v % p for c, v in r.items() if v % p}
-        if rr:
-            active.append(rr)
-    return _rank_mod_p(active, p)
+    rows = m.rows()
+    if p:
+        rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
+    return _eliminate(rows, p)
 
 
 class ChainComplex:

@@ -4,6 +4,7 @@ The oracles here deliberately reimplement things by subset enumeration so the
 library is checked against a second route, not against itself.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from linstrand import Clutter, VertexTable, complete_clutter, d_partite_complement, random_clutter
@@ -22,6 +23,31 @@ def brute_minimal_covers(n, edges):
 
 def brute_independent_sets(n, edges):
     return {s for s in all_subsets(n) if not any(e <= s for e in edges)}
+
+
+def dense_rank(rows, p):
+    """Rank of a dense integer matrix by plain Gaussian elimination, over
+    Fractions when p = 0 (entries stay ints while the pivots are units) and
+    modulo p otherwise."""
+    rows = [[v % p if p else v for v in r] for r in rows]
+    rk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k, r in enumerate(rows) if r[c]), None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        rk += 1
+        if p:
+            inv = pow(piv[c], -1, p)
+        else:
+            inv = piv[c] if abs(piv[c]) == 1 else Fraction(1, piv[c])
+        for r in rows:
+            if r[c]:
+                f = r[c] * inv
+                for j in range(c, len(r)):
+                    if piv[j]:
+                        r[j] = r[j] - f * piv[j] if p == 0 else (r[j] - f * piv[j]) % p
+    return rk
 
 
 def six_of_eight_transversals():

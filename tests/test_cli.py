@@ -91,6 +91,26 @@ def test_verify_passes_on_all_shipped_instances(capsys):
         assert "all checks passed" in out
 
 
+def test_verify_reports_a_skipped_check_as_skipped(capsys, tmp_path):
+    c = linstrand.random_clutter([7, 6], 0.5, 1)
+    assert c.n == 13  # linkage-matches-colon only runs up to n = 12
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps(dump_instance(c)))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    skipped = [ch for ch in payload["checks"] if ch["ok"] is None]
+    assert [ch["name"] for ch in skipped] == ["linkage-matches-colon"]
+    assert all(ch["ok"] is True for ch in payload["checks"] if ch not in skipped)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert "skip linkage-matches-colon (n = 13 > 12)" in lines
+    assert lines[-1] == "no check failed, 1 skipped"
+    assert "all checks passed" not in out
+
+
 def test_complement_output_is_reloadable(capsys, tmp_path):
     code, out, _ = run(
         capsys, "complement", path_of("fourteen_of_sixteen_transversals.json"), "--format", "json"

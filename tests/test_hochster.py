@@ -8,15 +8,18 @@ from linstrand import (
     SizeGuardError,
     SquarefreeIdeal,
     VertexTable,
+    alexander_dual,
     betti_table,
     edge_ideal,
     gf,
     is_linear_by_betti,
     linear_strand_betti,
+    linkage_ideal,
     multigraded_betti,
+    random_clutter,
 )
 
-from helpers import seeded_random_instance, six_of_eight_transversals
+from helpers import all_subsets, brute_independent_sets, dense_rank, seeded_random_instance, six_of_eight_transversals
 
 
 def ideal(n, *gens):
@@ -145,3 +148,63 @@ def test_vertex_guard_applies():
     i = ideal(26, {0, 1})
     with pytest.raises(SizeGuardError):
         betti_table(i, QQ)
+
+
+def brute_betti(i, p):
+    """Every nonzero beta_{k,sigma} by Hochster's formula over all 2^n
+    multidegrees: faces from brute-force subset enumeration, reduced
+    homology from dense ranks of the signed boundary matrices."""
+    n = i.vertices.n
+    faces = sorted((len(f), tuple(sorted(f)), f) for f in brute_independent_sets(n, i.generators))
+    out = {}
+    for sigma in all_subsets(n):
+        by_size = {}
+        for size, face, vertices in faces:
+            if vertices <= sigma:
+                by_size.setdefault(size, []).append(face)
+        ranks = {}
+        for c in sorted(by_size):
+            if c == 0:
+                ranks[c] = 0
+                continue
+            index = {t: r for r, t in enumerate(by_size[c - 1])}
+            rows = [[0] * len(by_size[c]) for _ in index]
+            for col, face in enumerate(by_size[c]):
+                for pos in range(c):
+                    rows[index[face[:pos] + face[pos + 1:]]][col] = (-1) ** pos
+            ranks[c] = dense_rank(rows, p)
+        for c, members in by_size.items():
+            h = len(members) - ranks[c] - ranks.get(c + 1, 0)
+            k = len(sigma) - (c - 1) - 2
+            if h and k >= 0:
+                out[(k, sigma)] = h
+    return out
+
+
+def brute_force_ideals():
+    shapes = ([2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 3], [4, 4], [2, 3, 3], [2, 2, 2, 2])
+    for seed in range(16):
+        c = random_clutter(shapes[seed % len(shapes)], 0.55, seed=seed)
+        if not c.edges:
+            continue
+        yield f"edge ideal, seed {seed}", edge_ideal(c)
+        link = linkage_ideal(c)
+        if not link.is_zero:
+            yield f"linkage ideal, seed {seed}", link
+        yield f"cover ideal, seed {seed}", alexander_dual(edge_ideal(c))
+
+
+def test_oracle_matches_brute_force_and_vanishes_off_generator_unions():
+    cases = list(brute_force_ideals())
+    assert len(cases) >= 40
+    assert any(len({len(g) for g in i.generators}) > 1 for _, i in cases)
+    for label, i in cases:
+        n = i.vertices.n
+        assert n <= 8
+        unions = {frozenset()}
+        for g in i.generators:
+            unions |= {u | g for u in unions}
+        for p in (0, 2, 3):
+            brute = brute_betti(i, p)
+            assert all(sigma in unions for _, sigma in brute), f"{label}, p = {p}"
+            assert betti_table(i, gf(p) if p else QQ).multigraded == brute, f"{label}, p = {p}"

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linstrand import GF2, QQ, ChainComplex, ConsistencyError, Field, Matrix, gf, homology_dims, rank
+
+from helpers import dense_rank
 
 
 def test_field_validation():
@@ -127,3 +131,25 @@ def test_matrix_entries_are_integers_only():
     # integral fractions are fine, they normalize to int
     m = Matrix.from_entries(1, 1, [(0, 0, Fraction(4, 2))])
     assert m.entries == ((0, 0, 2),)
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Up to 12 x 12, entries in -6..6 (about half of them zero), with some
+    rows and columns zeroed outright."""
+    nr, nc = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    dense = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    zero_rows = draw(st.sets(st.integers(0, 11), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 11), max_size=3))
+    return [[0 if r in zero_rows or c in zero_cols else v for c, v in enumerate(row)] for r, row in enumerate(dense)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_integer_matrices())
+def test_rank_matches_dense_elimination(dense):
+    nc = len(dense[0]) if dense else 0
+    m = Matrix.from_entries(len(dense), nc, [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row)])
+    for p in (0, 2, 3, 32003):
+        assert rank(m, gf(p) if p else QQ) == dense_rank(dense, p), f"p = {p}"
+
