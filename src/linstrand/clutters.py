@@ -1,10 +1,13 @@
 """Clutters on a fixed ordered vertex set.
 
 A clutter is a hypergraph none of whose edges contains another.  Vertices are
-numbered 0..n-1 once and for all and every vertex set in the library is a
-frozenset of such numbers; the numbering is the single total order that drives
-orientation signs downstream, so it lives in an explicit VertexTable rather
-than being recomputed from names.
+numbered 0..n-1 once and for all and every vertex set the library hands out
+or takes in is a frozenset of such numbers; the numbering is the single total
+order that drives orientation signs downstream, so it lives in an explicit
+VertexTable rather than being recomputed from names.  Inside the hot loops
+(minimal covers, face enumeration, strand growth) a vertex set is an int
+bitmask instead, bit v standing for vertex v; _mask and _members convert, and
+sorting masks by _members gives the same canonical order as sorted_key.
 
 A clutter may carry a partition of the vertices into d parts.  Partitioned
 clutters are d-partite d-uniform by construction: every edge takes exactly one
@@ -47,6 +50,38 @@ def _part_letter(i: int) -> str:
 def sorted_key(s: frozenset[int]) -> tuple[int, ...]:
     """Canonical sort key for a vertex set: its ascending vertex tuple."""
     return tuple(sorted(s))
+
+
+def _mask(s: Iterable[int]) -> int:
+    """The bitmask of a vertex set."""
+    m = 0
+    for v in s:
+        m |= 1 << v
+    return m
+
+
+# _BYTES[i][b]: the vertices of the byte value b sitting at bits 8i..8i+7,
+# filled on first use (a racing fill writes the same table)
+_BYTES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _members(m: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending; the mask form of sorted_key."""
+    out: tuple[int, ...] = ()
+    i = 0
+    while m:
+        table = _BYTES.get(i)
+        if table is None:
+            table = _BYTES[i] = tuple(tuple(8 * i + v for v in range(8) if b >> v & 1) for b in range(256))
+        out += table[m & 255]
+        m >>= 8
+        i += 1
+    return out
+
+
+def _frozen(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """Masks as frozensets, in canonical order."""
+    return tuple(frozenset(t) for t in sorted(map(_members, masks)))
 
 
 def minimal_sets(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
@@ -205,23 +240,41 @@ class Clutter:
 def minimal_vertex_covers(c: Clutter) -> tuple[frozenset[int], ...]:
     """All inclusion-minimal transversal sets of c, in canonical order.
 
-    Iterated expansion edge by edge: a cover of the first k+1 edges is a cover
-    of the first k edges that already meets edge k+1, or one extended by a
-    vertex of edge k+1.  Pruning to minimal sets after every edge keeps the
-    intermediate families small.  For the empty clutter the answer is
+    Iterated expansion edge by edge (Berge), on bitmasks: a minimal cover of
+    the first k+1 edges is a minimal cover of the first k edges that already
+    meets edge k+1, or one that misses it extended by a vertex v of edge
+    k+1.  The covers that meet the edge stay minimal.  An extension cov | {v}
+    can only contain an old cover h that meets the edge in v alone, with
+    h - {v} inside cov, so each extension is tested against those covers
+    only.  Two extensions never contain one another: cov1 | {v1} inside
+    cov2 | {v2} forces cov1 inside cov2 (v2 is on the edge, which cov1
+    misses), so cov1 = cov2 and v1 = v2; hence no extension needs testing
+    against another, nor deduplicating.  For the empty clutter the answer is
     {emptyset}: the unit ideal, which is what makes the linkage identities
     below hold without special cases.
     """
-    covers: list[frozenset[int]] = [frozenset()]
-    for e in c.edges:
-        grown: list[frozenset[int]] = []
-        for cov in covers:
-            if cov & e:
-                grown.append(cov)
-            else:
-                grown.extend(cov | {v} for v in sorted(e))
-        covers = list(minimal_sets(grown))
-    return tuple(covers)
+    return _frozen(_minimal_cover_masks(c.edges))
+
+
+def _minimal_cover_masks(edges: Iterable[frozenset[int]]) -> list[int]:
+    """The minimal covers of minimal_vertex_covers, as masks, unordered."""
+    covers = [0]
+    for edge in edges:
+        e = _mask(edge)
+        hit = [cov for cov in covers if cov & e]
+        miss = [cov for cov in covers if not cov & e]
+        # the covers meeting e in the single vertex bit b, as h - {v}, by b
+        rests: dict[int, list[int]] = {}
+        for h in hit:
+            b = h & e
+            if not b & (b - 1):
+                rests.setdefault(b, []).append(h ^ b)
+        for v in _members(e):
+            b = 1 << v
+            blocking = rests.get(b, ())
+            hit.extend(cov | b for cov in miss if not any(r & ~cov == 0 for r in blocking))
+        covers = hit
+    return covers
 
 
 def independent_sets(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES):
@@ -234,9 +287,8 @@ def independent_sets(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES):
     from .simplicial import SimplicialComplex
 
     check_vertex_guard(c.n, max_vertices)
-    everything = frozenset(range(c.n))
-    facets = tuple(everything - cov for cov in minimal_vertex_covers(c))
-    return SimplicialComplex(c.vertices, tuple(sorted(facets, key=sorted_key)))
+    everything = (1 << c.n) - 1
+    return SimplicialComplex(c.vertices, _frozen(everything ^ cov for cov in _minimal_cover_masks(c.edges)))
 
 
 def d_partite_complement(c: Clutter) -> Clutter:

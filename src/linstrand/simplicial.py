@@ -1,25 +1,38 @@
 """Simplicial complexes, relative pairs, and their chain complexes.
 
-Complexes are given by facets and enumerate all faces eagerly, grouped by
-dimension and sorted by ascending vertex tuple; that fixed order is the basis
-order of every boundary matrix, and the sign of dropping the t-th smallest
-vertex of a face is (-1)**t.  The empty face has dimension -1; a complex
-distinguishes being void (no faces at all, facets=()) from being {emptyset}
-(facets=(frozenset(),)).
+Complexes are given by facets.  On construction a complex enumerates all its
+faces as int bitmasks (bit v for vertex v), grouped by dimension, by a
+downward closure from the facets (_downward_closure).  Faces are sorted by
+ascending vertex tuple, and turned into frozensets, only when they are
+handed out; that order is the basis order of every boundary matrix, and the
+sign of dropping the t-th smallest vertex of a face is (-1)**t.  The empty
+face has dimension -1; a complex distinguishes being void (no faces at all,
+facets=()) from being {emptyset} (facets=(frozenset(),)).
 
 A relative pair (X, Y) with Y a subcomplex of X has one basis element for
 every face of X that is not a face of Y, and its boundary is the simplicial
-boundary with the terms landing in Y deleted.  When Y is void this is the
-reduced chain complex of X, so reduced and relative homology share one code
-path.
+boundary with the terms landing in Y deleted.  The pair filters the face
+masks of X by membership in the face masks of Y, so only the faces it keeps
+get sorted.  When Y is void this is the reduced chain complex of X, so
+reduced and relative homology share one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clutters import Clutter, VertexTable, _nested_pair, d_partite_complement, independent_sets, sorted_key
-from .errors import DEFAULT_MAX_VERTICES, ConsistencyError
+from .clutters import (
+    Clutter,
+    VertexTable,
+    _frozen,
+    _mask,
+    _members,
+    _nested_pair,
+    d_partite_complement,
+    independent_sets,
+    sorted_key,
+)
+from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
 from .linalg import ChainComplex, Matrix
 
 __all__ = [
@@ -47,15 +60,7 @@ class SimplicialComplex:
         if _nested_pair(facets):
             raise ValueError("facets must form an antichain")
         object.__setattr__(self, "facets", tuple(sorted(facets, key=sorted_key)))
-        by_dim: dict[int, set[frozenset[int]]] = {}
-        for f in self.facets:
-            for mask in _subsets(f):
-                by_dim.setdefault(len(mask) - 1, set()).add(mask)
-        object.__setattr__(
-            self,
-            "_faces",
-            {k: tuple(sorted(v, key=sorted_key)) for k, v in by_dim.items()},
-        )
+        object.__setattr__(self, "_faces", _downward_closure(_mask(f) for f in facets))
 
     @property
     def is_void(self) -> bool:
@@ -70,17 +75,38 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def faces(self, k: int) -> tuple[frozenset[int], ...]:
-        return self._faces.get(k, ())
+        return _frozen(self._faces.get(k, ()))
 
     def has_face(self, s: frozenset[int]) -> bool:
-        return any(s <= f for f in self.facets)
+        n = self.vertices.n
+        return all(0 <= v < n for v in s) and _mask(s) in self._faces.get(len(s) - 1, ())
 
 
-def _subsets(s: frozenset[int]):
-    order = sorted(s)
-    m = len(order)
-    for bits in range(1 << m):
-        yield frozenset(order[i] for i in range(m) if bits >> i & 1)
+def _downward_closure(facets) -> dict[int, set[int]]:
+    """Every face mask below the given facet masks, by dimension.
+
+    Each facet's subsets are walked as a tree, a child dropping one vertex
+    above every vertex its parent dropped, so a facet reaches each of its
+    subsets once.  A branch stops at a face found under an earlier facet:
+    all its subsets were found with it.  The work is thus bounded by the
+    faces and their sizes, however much the facets overlap."""
+    seen: set[int] = set()
+    for f in facets:
+        if f in seen:
+            continue
+        stack = [(f, f)]  # a face and the vertices its children may drop
+        while stack:
+            s, droppable = stack.pop()
+            seen.add(s)
+            while droppable:
+                b = droppable & -droppable
+                droppable ^= b
+                if s ^ b not in seen:
+                    stack.append((s ^ b, droppable))
+    faces: dict[int, set[int]] = {}
+    for s in seen:
+        faces.setdefault(s.bit_count() - 1, set()).add(s)
+    return faces
 
 
 @dataclass(frozen=True)
@@ -97,32 +123,39 @@ class SimplicialPair:
         for f in self.y.facets:
             if not self.x.has_face(f):
                 raise ValueError(f"facet {self.x.vertices.label(f)} of y is not a face of x")
+        object.__setattr__(self, "_kept", {})
 
     def faces(self, k: int) -> tuple[frozenset[int], ...]:
-        excluded = set(self.y.faces(k))
-        return tuple(s for s in self.x.faces(k) if s not in excluded)
+        return tuple(frozenset(_members(m)) for m in self._face_masks(k))
+
+    def _face_masks(self, k: int) -> tuple[int, ...]:
+        """The dimension-k faces of the pair as masks, in canonical order."""
+        got = self._kept.get(k)
+        if got is None:
+            excluded = self.y._faces.get(k, ())
+            kept = (m for m in self.x._faces.get(k, ()) if m not in excluded)
+            got = self._kept[k] = tuple(sorted(kept, key=_members))
+        return got
 
     @property
     def dim(self) -> int:
         return self.x.dim
 
 
-def _signed_drops(sources: tuple[frozenset[int], ...], targets: tuple[frozenset[int], ...]):
-    """The signed-drop rule: for each source set (a column) and each vertex v
-    of it whose removal lands on a target set (a row), yield
+def _signed_drops(sources: tuple[int, ...], targets: tuple[int, ...]):
+    """The signed-drop rule on masks: for each source set (a column) and each
+    vertex v of it whose removal lands on a target set (a row), yield
     (row, col, (-1)**t, v), v being the t-th smallest vertex of the source
     counting from 0.  Columns come in order, vertices ascending."""
     index = {t: i for i, t in enumerate(targets)}
     for col, f in enumerate(sources):
-        for t, v in enumerate(sorted(f)):
-            row = index.get(f - {v})
+        for t, v in enumerate(_members(f)):
+            row = index.get(f ^ (1 << v))
             if row is not None:
                 yield row, col, -1 if t % 2 else 1, v
 
 
-def _boundary_matrix(
-    sources: tuple[frozenset[int], ...], targets: tuple[frozenset[int], ...]
-) -> Matrix:
+def _boundary_matrix(sources: tuple[int, ...], targets: tuple[int, ...]) -> Matrix:
     entries = ((row, col, sign) for row, col, sign, _ in _signed_drops(sources, targets))
     return Matrix.from_entries(len(targets), len(sources), entries)
 
@@ -145,7 +178,7 @@ def relative_chain_complex(p: SimplicialPair) -> ChainComplex:
     """The chain complex of the pair: quotient bases, boundary terms into y
     dropped."""
     lo = -1 if p.y.is_void and not p.x.is_void else 0
-    faces = {k: p.faces(k) for k in range(lo, p.x.dim + 1)}
+    faces = {k: p._face_masks(k) for k in range(lo, p.x.dim + 1)}
     present = [k for k, fs in faces.items() if fs]
     if not present:
         return ChainComplex({}, {})
@@ -161,7 +194,7 @@ def relative_chain_complex(p: SimplicialPair) -> ChainComplex:
 def f_vector(p: SimplicialPair) -> tuple[int, ...]:
     """Counts of pair faces in dimensions 0..dim(x); the empty face, if it is
     a face of the pair, is not counted here."""
-    return tuple(len(p.faces(k)) for k in range(0, p.x.dim + 1))
+    return tuple(len(p._face_masks(k)) for k in range(0, p.x.dim + 1))
 
 
 def part_deficient_complex(table: VertexTable) -> SimplicialComplex:
@@ -189,10 +222,12 @@ def strand_support_pair(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
 
     y really is a subcomplex of x (a set missing a part contains no
     transversal, hence no edge of the complement); this is re-verified here
-    rather than assumed.
+    rather than assumed.  The vertex guard fires before the complement is
+    built, since listing every transversal is already exponential in d.
     """
     if c.vertices.parts is None:
         raise ValueError("need a partitioned clutter")
+    check_vertex_guard(c.n, max_vertices)
     x = independent_sets(d_partite_complement(c), max_vertices=max_vertices)
     y = part_deficient_complex(c.vertices)
     for f in y.facets:

@@ -20,7 +20,9 @@ is independent in the complement exactly when it is an edge of c), and level
 i + 1 is every level-i set plus one vertex v such that no complement edge
 through v lands inside.  Every basis set is reached: one with more than d
 vertices meets some part twice, and dropping one of those two vertices gives
-a basis set one level down.
+a basis set one level down.  The growth runs on int bitmasks, each set
+carrying the mask of the vertices it may not grow by (see
+first_linear_strand); levels become frozensets when they are handed out.
 
 Evaluating x_v at a squarefree multidegree b (keep basis elements inside b,
 scalars as they are) gives the complex whose homology controls whether the
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .clutters import Clutter, VertexTable, d_partite_complement, sorted_key
+from .clutters import Clutter, VertexTable, _frozen, _mask, _members, d_partite_complement
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 from .linalg import ChainComplex, Field, Matrix, QQ, homology_dims
 from .simplicial import SimplicialPair, _signed_drops, relative_chain_complex
@@ -120,29 +122,49 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     meets a part twice, and dropping either of those two vertices leaves a
     basis set one level down.  Levels are in ascending vertex-tuple order.
     Validates its own differential by composing consecutive skeletons.
+
+    On masks, each set a carries blocked(a): the vertices v outside a with
+    some complement edge e through v and e - {v} inside a.  Then a | {v}
+    is independent exactly when v is in neither a nor blocked(a), and
+    blocked(a | {u}) is blocked(a) plus, for each complement edge e through u,
+    the one vertex of e outside a | {u} when there is just one; complement
+    edges missing u gain nothing from it.
     """
     if c.vertices.parts is None:
         raise ValueError("the strand construction needs a partitioned clutter")
     check_vertex_guard(c.n, max_vertices)
-    # a complement edge e through v lies inside a | {v} exactly when e - {v} lies inside a
-    rests = [[e - {v} for e in d_partite_complement(c).edges if v in e] for v in range(c.n)]
-    levels: list[tuple[frozenset[int], ...]] = []
-    level = c.edges
+    complement = [_mask(e) for e in d_partite_complement(c).edges]
+    through = [[e for e in complement if e >> v & 1] for v in range(c.n)]
+    everything = (1 << c.n) - 1
+    level = {a: _blocked(a, complement) for a in map(_mask, c.edges)}  # basis set -> blocked(set)
+    levels: list[tuple[int, ...]] = []
     while level:
-        levels.append(level)
-        grown = {
-            a | {v}
-            for a in level
-            for v in range(c.n)
-            if v not in a and not any(r <= a for r in rests[v])
-        }
-        level = tuple(sorted(grown, key=sorted_key))
+        levels.append(tuple(sorted(level, key=_members)))
+        grown: dict[int, int] = {}
+        for a, blocked in level.items():
+            free = everything & ~(a | blocked)
+            while free:
+                b = free & -free
+                free ^= b
+                s = a | b
+                if s not in grown:
+                    grown[s] = _blocked(s, through[b.bit_length() - 1], blocked)
+        level = grown
     differentials: list[tuple[StrandEntry, ...]] = [()] if levels else []
     for i in range(1, len(levels)):
         differentials.append(tuple(StrandEntry(*e) for e in _signed_drops(levels[i], levels[i - 1])))
-    strand = StrandComplex(c.vertices.d, c.vertices, tuple(levels), tuple(differentials))
+    strand = StrandComplex(c.vertices.d, c.vertices, tuple(map(_frozen, levels)), tuple(differentials))
     strand.skeleton_complex()  # raises if the squares do not vanish
     return strand
+
+
+def _blocked(s: int, edges: list[int], blocked: int = 0) -> int:
+    """blocked plus, for each edge mask with exactly one vertex outside s,
+    that vertex."""
+    for e in edges:
+        if not (out := e & ~s) & (out - 1):
+            blocked |= out
+    return blocked
 
 
 @dataclass(frozen=True)

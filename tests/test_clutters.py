@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linstrand import (
     Clutter,
@@ -68,6 +70,25 @@ def test_minimal_covers_match_brute_force():
         got = [frozenset(s) for s in minimal_vertex_covers(c)]
         want = [frozenset(s) for s in brute_minimal_covers(c.n, c.edge_set())]
         assert got == want, f"seed {seed}"
+
+
+@st.composite
+def any_clutter(draw):
+    """An unpartitioned clutter (the minimal members of random nonempty
+    sets, possibly none) or a partitioned random_clutter."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 8))
+        sets = draw(st.lists(st.frozensets(st.integers(0, max(n - 1, 0)), min_size=1, max_size=n), max_size=8)) if n else []
+        edges = tuple({s for s in sets if not any(t < s for t in sets)})
+        return Clutter(VertexTable(tuple(f"v{i}" for i in range(n))), edges)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    return random_clutter(sizes, draw(st.sampled_from((0.0, 0.3, 0.6, 1.0))), draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_clutter())
+def test_minimal_covers_match_brute_force_on_any_clutter(c):
+    assert minimal_vertex_covers(c) == tuple(brute_minimal_covers(c.n, c.edges))
 
 
 def test_covers_of_edgeless_clutter_is_empty_set_only():

@@ -1,0 +1,40 @@
+"""The identities the package rests on, as properties of random instances
+within the oracle's reach (n <= 10), over QQ, GF(2) and GF(3): the strand
+is the relative pair, the Lyubeznik column matches the Betti cross-check,
+and the strand's ranks and multidegrees are the oracle's linear diagonal."""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from linstrand import (
+    GF2,
+    QQ,
+    cross_check_betti,
+    edge_ideal,
+    first_linear_strand,
+    gf,
+    linear_strand_betti,
+    random_clutter,
+    strand_support_pair,
+    verify_support,
+)
+
+FIELDS = (QQ, GF2, gf(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda sizes: sum(sizes) <= 10),
+    st.floats(0.0, 1.0),
+    st.integers(0, 10**6),
+)
+def test_strand_pair_column_and_oracle_agree(sizes, p, seed):
+    c = random_clutter(sizes, p, seed)
+    assume(c.edges)
+    s = first_linear_strand(c)
+    assert verify_support(s, strand_support_pair(c)).ok
+    for f in FIELDS:
+        assert cross_check_betti(c, f).ok, f
+        graded, multigraded = linear_strand_betti(edge_ideal(c), f)
+        assert graded == dict(enumerate(s.ranks())), f
+        assert multigraded == {(i, a): 1 for i, level in enumerate(s.levels) for a in level}, f

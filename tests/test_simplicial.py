@@ -1,22 +1,29 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linstrand import (
+    Clutter,
     ConsistencyError,
     QQ,
     SimplicialComplex,
     SimplicialPair,
+    SizeGuardError,
     VertexTable,
     chain_complex,
     complete_clutter,
+    cross_check_betti,
     f_vector,
     homology_dims,
     independent_sets,
+    lyubeznik_last_column,
     part_deficient_complex,
     relative_chain_complex,
     strand_support_pair,
 )
+from linstrand import simplicial
 
-from helpers import six_of_eight_transversals
+from helpers import all_subsets, six_of_eight_transversals
 
 
 def table(n):
@@ -150,3 +157,65 @@ def test_independence_complex_facets_are_maximal():
         for v in range(c.n):
             if v not in f:
                 assert x.has_face(f | {v}) is False
+
+
+@st.composite
+def facet_antichains(draw):
+    """(n, facets): the maximal members of a random family of subsets of
+    range(n); the void complex and {emptyset} included."""
+    n = draw(st.integers(0, 7))
+    family = draw(st.lists(st.frozensets(st.integers(0, max(n - 1, 0)), max_size=n), max_size=6))
+    return n, tuple({s for s in family if not any(s < t for t in family)})
+
+
+def brute_faces(n, facets):
+    """Faces by dimension, each in ascending vertex-tuple order (the order
+    all_subsets lists one size in)."""
+    faces = {}
+    for s in all_subsets(n):
+        if any(s <= f for f in facets):
+            faces.setdefault(len(s) - 1, []).append(s)
+    return {k: tuple(v) for k, v in faces.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_antichains())
+def test_faces_match_brute_force_closure(case):
+    n, facets = case
+    x = SimplicialComplex(table(n), facets)
+    want = brute_faces(n, facets)
+    for k in range(-2, n + 1):
+        assert x.faces(k) == want.get(k, ()), k
+    every = {s for faces in want.values() for s in faces}
+    for s in all_subsets(n):
+        assert x.has_face(s) == (s in every)
+    assert not x.has_face(frozenset({n})) and not x.has_face(frozenset({-1}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_antichains(), st.data())
+def test_pair_faces_are_x_faces_minus_y_faces(case, data):
+    n, facets = case
+    x_faces = sorted({s for faces in brute_faces(n, facets).values() for s in faces}, key=sorted)
+    chosen = data.draw(st.lists(st.sampled_from(x_faces), max_size=4) if x_faces else st.just([]))
+    y_facets = tuple({s for s in chosen if not any(s < t for t in chosen)})
+    pair = SimplicialPair(SimplicialComplex(table(n), facets), SimplicialComplex(table(n), y_facets))
+    in_x, in_y = brute_faces(n, facets), brute_faces(n, y_facets)
+    for k in range(-1, n):
+        gone = set(in_y.get(k, ()))
+        assert pair.faces(k) == tuple(s for s in in_x.get(k, ()) if s not in gone), k
+
+
+def test_pair_guard_fires_before_the_complement_is_built(monkeypatch):
+    # 36 vertices in 18 parts of two, one edge: listing the 2**18 transversals
+    # of the complement would take seconds before the guard could fire
+    t = VertexTable(tuple(f"v{i}" for i in range(36)), tuple(i // 2 for i in range(36)))
+    c = Clutter(t, (frozenset(range(0, 36, 2)),))
+
+    def complement_too_early(c):
+        raise AssertionError("the complement was built before the vertex guard fired")
+
+    monkeypatch.setattr(simplicial, "d_partite_complement", complement_too_early)
+    for call in (strand_support_pair, lyubeznik_last_column, cross_check_betti):
+        with pytest.raises(SizeGuardError):
+            call(c)
