@@ -23,7 +23,7 @@ from .ideals import alexander_dual, edge_ideal, squarefree_colon
 from .linalg import Field, QQ, homology_dims
 from .linearity import complement_linearity_agrees, is_linear
 from .lyubeznik import lyubeznik_last_column
-from .simplicial import chain_complex, part_deficient_complex, strand_support_pair
+from .simplicial import chain_complex, strand_support_pair
 from .strand import first_linear_strand, verify_support
 
 __all__ = ["InstanceFormatError", "load_instance", "dump_instance", "run_verification", "main"]
@@ -53,10 +53,12 @@ def instance_from_dict(data: object) -> Clutter:
         raise InstanceFormatError("give either parts+edges or points, not both")
     if has_points:
         points = data["points"]
-        if not isinstance(points, list) or not points:
-            raise InstanceFormatError("points must be a nonempty list of rows")
+        if not isinstance(points, list) or not points or not all(isinstance(p, list) for p in points):
+            raise InstanceFormatError("points must be a nonempty list of rows, each a list of labels")
         try:
             return from_point_configuration(points)
+        except TypeError:
+            raise InstanceFormatError("point labels must be strings, numbers or lists of them") from None
         except ValueError as e:
             raise InstanceFormatError(str(e)) from None
     if not ("parts" in data and "edges" in data):
@@ -66,6 +68,8 @@ def instance_from_dict(data: object) -> Clutter:
         raise InstanceFormatError("parts must be a list of lists of names")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise InstanceFormatError("edges must be a list of lists of names")
+    if not all(isinstance(name, str) for e in edges for name in e):
+        raise InstanceFormatError("edge names must be strings")
     names: list[str] = []
     part_ids: list[int] = []
     for i, p in enumerate(parts):
@@ -138,8 +142,7 @@ def run_verification(c: Clutter, f: Field = QQ, max_vertices: int = DEFAULT_MAX_
         else:
             checks.append(Check("strand-ranks-match-oracle", True, "no edges, nothing to compare"))
 
-    y = part_deficient_complex(c.vertices)
-    hy = homology_dims(chain_complex(y, reduced=True), f)
+    hy = homology_dims(chain_complex(pair.y, reduced=True), f)
     d = c.vertices.d
     sphere_degree = d - 2
     ok = all(v == (1 if k == sphere_degree else 0) for k, v in hy.items())

@@ -281,8 +281,8 @@ def independent_sets(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES):
     """The independence complex of c: all vertex sets containing no edge.
 
     Returned as a simplicial complex whose facets are the complements of the
-    minimal vertex covers.  The complex enumerates its faces eagerly, hence
-    the guard.
+    minimal vertex covers.  Finding the covers is exponential in n, hence the
+    guard; the faces themselves are listed only when asked for.
     """
     from .simplicial import SimplicialComplex
 

@@ -1,25 +1,28 @@
 """Simplicial complexes, relative pairs, and their chain complexes.
 
-Complexes are given by facets.  On construction a complex enumerates all its
-faces as int bitmasks (bit v for vertex v), grouped by dimension, by a
-downward closure from the facets (_downward_closure).  Faces are sorted by
-ascending vertex tuple, and turned into frozensets, only when they are
-handed out; that order is the basis order of every boundary matrix, and the
-sign of dropping the t-th smallest vertex of a face is (-1)**t.  The empty
-face has dimension -1; a complex distinguishes being void (no faces at all,
-facets=()) from being {emptyset} (facets=(frozenset(),)).
+Complexes are given by facets, and a face is tested by finding a facet that
+contains it.  A complex lists its faces, as int bitmasks (bit v for vertex
+v) grouped by dimension, only when they are asked for, by a downward closure
+from the facets (_downward_closure).  Faces are sorted by ascending vertex
+tuple, and turned into frozensets, only when they are handed out; that order
+is the basis order of every boundary matrix, and the sign of dropping the
+t-th smallest vertex of a face is (-1)**t.  The empty face has dimension -1;
+a complex distinguishes being void (no faces at all, facets=()) from being
+{emptyset} (facets=(frozenset(),)).
 
 A relative pair (X, Y) with Y a subcomplex of X has one basis element for
 every face of X that is not a face of Y, and its boundary is the simplicial
-boundary with the terms landing in Y deleted.  The pair filters the face
-masks of X by membership in the face masks of Y, so only the faces it keeps
-get sorted.  When Y is void this is the reduced chain complex of X, so
-reduced and relative homology share one code path.
+boundary with the terms landing in Y deleted.  The pair walks down from the
+facets of X once and stops at the first face inside a facet of Y: Y is
+closed downward, so nothing below that face is a pair face, and neither
+complex lists its own faces.  When Y is void this is the reduced chain
+complex of X, so reduced and relative homology share one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .clutters import (
     Clutter,
@@ -60,7 +63,11 @@ class SimplicialComplex:
         if _nested_pair(facets):
             raise ValueError("facets must form an antichain")
         object.__setattr__(self, "facets", tuple(sorted(facets, key=sorted_key)))
-        object.__setattr__(self, "_faces", _downward_closure(_mask(f) for f in facets))
+        object.__setattr__(self, "_facet_masks", tuple(map(_mask, self.facets)))
+
+    @cached_property
+    def _faces(self) -> dict[int, set[int]]:
+        return _downward_closure(self._facet_masks)
 
     @property
     def is_void(self) -> bool:
@@ -79,20 +86,28 @@ class SimplicialComplex:
 
     def has_face(self, s: frozenset[int]) -> bool:
         n = self.vertices.n
-        return all(0 <= v < n for v in s) and _mask(s) in self._faces.get(len(s) - 1, ())
+        return all(0 <= v < n for v in s) and _inside(_mask(s), self._facet_masks)
 
 
-def _downward_closure(facets) -> dict[int, set[int]]:
-    """Every face mask below the given facet masks, by dimension.
+def _inside(mask: int, facet_masks) -> bool:
+    """Whether the face mask lies in one of the facet masks."""
+    return any(mask | f == f for f in facet_masks)
+
+
+def _downward_closure(facets, floor=()) -> dict[int, set[int]]:
+    """Every face mask below the given facet masks, by dimension, except
+    those inside a facet of floor.
 
     Each facet's subsets are walked as a tree, a child dropping one vertex
     above every vertex its parent dropped, so a facet reaches each of its
-    subsets once.  A branch stops at a face found under an earlier facet:
-    all its subsets were found with it.  The work is thus bounded by the
-    faces and their sizes, however much the facets overlap."""
+    subsets once.  A branch stops at a face found under an earlier facet,
+    all its subsets having been found with it, and at a face inside floor,
+    all its subsets being inside too; a face above one outside floor is
+    outside as well, so the walk cuts off no face it keeps.  The work is
+    bounded by the faces kept and their sizes, however the facets overlap."""
     seen: set[int] = set()
     for f in facets:
-        if f in seen:
+        if f in seen or _inside(f, floor):
             continue
         stack = [(f, f)]  # a face and the vertices its children may drop
         while stack:
@@ -101,7 +116,7 @@ def _downward_closure(facets) -> dict[int, set[int]]:
             while droppable:
                 b = droppable & -droppable
                 droppable ^= b
-                if s ^ b not in seen:
+                if s ^ b not in seen and not _inside(s ^ b, floor):
                     stack.append((s ^ b, droppable))
     faces: dict[int, set[int]] = {}
     for s in seen:
@@ -112,7 +127,8 @@ def _downward_closure(facets) -> dict[int, set[int]]:
 @dataclass(frozen=True)
 class SimplicialPair:
     """A complex together with a subcomplex; the faces of the pair are the
-    faces of x that are not faces of y."""
+    faces of x that are not faces of y.  They are found once, on
+    construction, and kept as masks by dimension in canonical order."""
 
     x: SimplicialComplex
     y: SimplicialComplex
@@ -123,19 +139,11 @@ class SimplicialPair:
         for f in self.y.facets:
             if not self.x.has_face(f):
                 raise ValueError(f"facet {self.x.vertices.label(f)} of y is not a face of x")
-        object.__setattr__(self, "_kept", {})
+        kept = _downward_closure(self.x._facet_masks, floor=self.y._facet_masks)
+        object.__setattr__(self, "_kept", {k: tuple(sorted(fs, key=_members)) for k, fs in kept.items()})
 
     def faces(self, k: int) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_members(m)) for m in self._face_masks(k))
-
-    def _face_masks(self, k: int) -> tuple[int, ...]:
-        """The dimension-k faces of the pair as masks, in canonical order."""
-        got = self._kept.get(k)
-        if got is None:
-            excluded = self.y._faces.get(k, ())
-            kept = (m for m in self.x._faces.get(k, ()) if m not in excluded)
-            got = self._kept[k] = tuple(sorted(kept, key=_members))
-        return got
+        return tuple(frozenset(_members(m)) for m in self._kept.get(k, ()))
 
     @property
     def dim(self) -> int:
@@ -168,33 +176,25 @@ def chain_complex(x: SimplicialComplex, reduced: bool = False) -> ChainComplex:
     one basis element in degree -1 and nothing else, so its reduced homology
     is rank 1 there.
     """
-    if x.is_void:
-        return ChainComplex({}, {})
-    y = SimplicialComplex(x.vertices, () if reduced else (frozenset(),))
+    y = SimplicialComplex(x.vertices, () if reduced or x.is_void else (frozenset(),))
     return relative_chain_complex(SimplicialPair(x, y))
 
 
 def relative_chain_complex(p: SimplicialPair) -> ChainComplex:
     """The chain complex of the pair: quotient bases, boundary terms into y
     dropped."""
-    lo = -1 if p.y.is_void and not p.x.is_void else 0
-    faces = {k: p._face_masks(k) for k in range(lo, p.x.dim + 1)}
-    present = [k for k, fs in faces.items() if fs]
-    if not present:
+    faces = p._kept
+    if not faces:
         return ChainComplex({}, {})
-    dims = {k: len(faces[k]) for k in range(min(present), max(present) + 1)}
-    boundaries = {
-        k: _boundary_matrix(faces[k], faces[k - 1])
-        for k in dims
-        if k - 1 in dims
-    }
+    dims = {k: len(faces.get(k, ())) for k in range(min(faces), max(faces) + 1)}
+    boundaries = {k: _boundary_matrix(faces.get(k, ()), faces.get(k - 1, ())) for k in dims if k - 1 in dims}
     return ChainComplex(dims, boundaries)
 
 
 def f_vector(p: SimplicialPair) -> tuple[int, ...]:
     """Counts of pair faces in dimensions 0..dim(x); the empty face, if it is
     a face of the pair, is not counted here."""
-    return tuple(len(p._face_masks(k)) for k in range(0, p.x.dim + 1))
+    return tuple(len(p._kept.get(k, ())) for k in range(0, p.x.dim + 1))
 
 
 def part_deficient_complex(table: VertexTable) -> SimplicialComplex:

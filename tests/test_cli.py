@@ -146,6 +146,24 @@ def test_unknown_edge_name_is_a_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"parts": [["a"], ["b"]], "edges": [[["a"], "b"]]},
+        {"parts": [["a"], ["b"]], "edges": [[{"a": 1}, "b"]]},
+        {"points": [[[1], [2]], 5]},
+        {"points": [[{"a": 1}]]},
+        {"points": [{"a": 1}]},
+    ],
+)
+def test_malformed_instance_shape_is_a_parse_error(capsys, tmp_path, instance):
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps(instance))
+    code, _, err = run(capsys, "covers", str(p))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_points_and_parts_together_rejected(capsys, tmp_path):
     p = tmp_path / "both.json"
     p.write_text(json.dumps({"parts": [["a"]], "edges": [], "points": [[1]]}))

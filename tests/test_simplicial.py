@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linstrand import (
@@ -192,18 +192,40 @@ def test_faces_match_brute_force_closure(case):
     assert not x.has_face(frozenset({n})) and not x.has_face(frozenset({-1}))
 
 
-@settings(max_examples=200, deadline=None)
-@given(facet_antichains(), st.data())
-def test_pair_faces_are_x_faces_minus_y_faces(case, data):
-    n, facets = case
+@st.composite
+def complexes_with_subcomplex(draw):
+    """(n, facets, y_facets): a random complex and the subcomplex generated
+    by up to four of its faces."""
+    n, facets = draw(facet_antichains())
     x_faces = sorted({s for faces in brute_faces(n, facets).values() for s in faces}, key=sorted)
-    chosen = data.draw(st.lists(st.sampled_from(x_faces), max_size=4) if x_faces else st.just([]))
-    y_facets = tuple({s for s in chosen if not any(s < t for t in chosen)})
+    chosen = draw(st.lists(st.sampled_from(x_faces), max_size=4) if x_faces else st.just([]))
+    return n, facets, tuple({s for s in chosen if not any(s < t for t in chosen)})
+
+
+# a triangle plus an isolated vertex, modulo the triangle's boundary: pair
+# faces in dimensions 0 and 2 only, so degree 1 has size zero
+@example((4, (frozenset({0, 1, 2}), frozenset({3})), (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))))
+@settings(max_examples=200, deadline=None)
+@given(complexes_with_subcomplex())
+def test_pair_faces_are_x_faces_minus_y_faces(case):
+    n, facets, y_facets = case
     pair = SimplicialPair(SimplicialComplex(table(n), facets), SimplicialComplex(table(n), y_facets))
     in_x, in_y = brute_faces(n, facets), brute_faces(n, y_facets)
+    counts = {}
     for k in range(-1, n):
         gone = set(in_y.get(k, ()))
-        assert pair.faces(k) == tuple(s for s in in_x.get(k, ()) if s not in gone), k
+        kept = tuple(s for s in in_x.get(k, ()) if s not in gone)
+        assert pair.faces(k) == kept, k
+        if kept:
+            counts[k] = len(kept)
+    span = range(min(counts), max(counts) + 1) if counts else ()
+    assert relative_chain_complex(pair).dims == {k: counts.get(k, 0) for k in span}
+
+
+def test_pair_route_never_lists_the_faces_of_x_or_y():
+    pair = strand_support_pair(six_of_eight_transversals())
+    relative_chain_complex(pair)
+    assert "_faces" not in vars(pair.x) and "_faces" not in vars(pair.y)
 
 
 def test_pair_guard_fires_before_the_complement_is_built(monkeypatch):
