@@ -391,10 +391,15 @@ def _partitioned_table(part_sizes: Sequence[int]) -> VertexTable:
 
 
 def complete_clutter(part_sizes: Sequence[int]) -> Clutter:
-    """All transversals of parts of the given sizes."""
+    """All transversals of parts of the given sizes.
+
+    Each transversal is copied from a set, which sizes the frozenset's table
+    for its members; built straight from a tuple, a frozenset of five or more
+    members gets twice that table (728 bytes rather than 472 at five), and
+    random_clutter hands these same objects out as its edges."""
     table = _partitioned_table(part_sizes)
     prod = itertools.product(*(table.part_members(i) for i in range(len(part_sizes))))
-    return Clutter(table, tuple(frozenset(t) for t in prod))
+    return Clutter(table, tuple(frozenset(set(t)) for t in prod))
 
 
 def ferrers_clutter(row_lengths: Sequence[int]) -> Clutter:

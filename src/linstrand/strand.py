@@ -68,19 +68,21 @@ class StrandComplex:
             raise ValueError("one differential slot per level")
         if self.differentials and self.differentials[0]:
             raise ValueError("level 0 has no differential")
-        for i, entries in enumerate(self.differentials):
-            if i == 0:
-                continue
-            for e in entries:
-                if not (0 <= e.col < len(self.levels[i]) and 0 <= e.row < len(self.levels[i - 1])):
+        masks = [list(map(_mask, level)) for level in self.levels]
+        for i in range(1, len(self.differentials)):
+            sources, targets = masks[i], masks[i - 1]
+            ns, nt = len(sources), len(targets)
+            for e in self.differentials[i]:
+                col, row, v = e.col, e.row, e.vertex
+                if not (0 <= col < ns and 0 <= row < nt):
                     raise ValueError(f"entry out of range at level {i}")
                 if e.sign not in (-1, 1):
                     raise ValueError("signs must be +-1")
-                a, b = self.levels[i][e.col], self.levels[i - 1][e.row]
-                if b != a - {e.vertex} or e.vertex not in a:
+                a = sources[col]
+                if not (isinstance(v, int) and v >= 0 and a >> v & 1) or a ^ 1 << v != targets[row]:
                     raise ValueError(
                         f"entry at level {i} does not drop a single vertex: "
-                        f"{self.vertices.label(a)} -> {self.vertices.label(b)}"
+                        f"{self.vertices.label(self.levels[i][col])} -> {self.vertices.label(self.levels[i - 1][row])}"
                     )
 
     @property

@@ -1,15 +1,21 @@
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linstrand
-from linstrand.cli import dump_instance, instance_from_dict, load_instance, main
+from linstrand import Clutter
+from linstrand.cli import InstanceFormatError, dump_instance, instance_from_dict, load_instance, main
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "demos" / "instances"
@@ -230,3 +236,50 @@ def test_console_script_is_installed(tmp_path):
         r = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
         assert r.returncode == 0, f"{cmd[0]} exited {r.returncode}:\n{r.stderr}"
         assert "0 0 0 1 1" in r.stdout, f"{cmd[0]} printed:\n{r.stdout}\n{r.stderr}"
+
+
+NAMES = st.sampled_from(["a", "b", "c", "d"])
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    NAMES,
+    st.text(max_size=2),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(["parts", "edges", "points"]), st.text(max_size=2)), inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+NAME_LISTS = st.lists(st.lists(NAMES, max_size=3), max_size=4)
+JSON_INSTANCES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({}, optional={"parts": JSON_VALUES, "edges": JSON_VALUES, "points": JSON_VALUES}),
+    st.fixed_dictionaries({"parts": NAME_LISTS, "edges": NAME_LISTS}),
+    st.fixed_dictionaries({"points": st.lists(st.lists(st.one_of(NAMES, st.integers(0, 2)), max_size=3), max_size=4)}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_INSTANCES)
+def test_any_json_value_loads_or_is_a_parse_error(data):
+    try:
+        c = instance_from_dict(data)
+    except InstanceFormatError:
+        pass
+    else:
+        assert isinstance(c, Clutter)
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "fuzz.json")
+        with open(p, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["covers", p])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,23 @@ def small_integer_matrices(draw):
     return [[0 if r in zero_rows or c in zero_cols else v for c, v in enumerate(row)] for r, row in enumerate(dense)]
 
 
+@st.composite
+def sparse_shuffled_matrices(draw):
+    """8 x 8 up to 30 x 30, one to four nonzero entries per row, in -6..6, as
+    (dense, entries) with the entries in shuffled order: elimination fills
+    rows in and shortens them again many times, so rows go back on the pivot
+    queue often."""
+    nr, nc = draw(st.integers(8, 30)), draw(st.integers(8, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dense = [[0] * nc for _ in range(nr)]
+    for row in dense:
+        for c in rng.sample(range(nc), rng.randint(1, 4)):
+            row[c] = rng.choice((-6, -3, -2, -1, 1, 1, 1, 2, 5))
+    entries = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+    rng.shuffle(entries)
+    return dense, entries
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_integer_matrices())
 def test_rank_matches_dense_elimination(dense):
@@ -153,3 +171,65 @@ def test_rank_matches_dense_elimination(dense):
     for p in (0, 2, 3, 32003):
         assert rank(m, gf(p) if p else QQ) == dense_rank(dense, p), f"p = {p}"
 
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_shuffled_matrices())
+def test_rank_matches_dense_elimination_on_sparse_shuffled_input(case):
+    dense, entries = case
+    m = Matrix.from_entries(len(dense), len(dense[0]), entries)
+    for p in (0, 2, 3, 7):
+        assert rank(m, gf(p) if p else QQ) == dense_rank(dense, p), f"p = {p}"
+
+
+VALID = ((0, 1, 2), (0, 2, -1), (1, 0, 3), (2, 2, 1))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, 0, 5), "duplicate"),
+        ((-1, 1, 1), "out of range"),
+        ((1, -1, 1), "out of range"),
+        ((3, 0, 1), "out of range"),
+        ((1, 3, 1), "out of range"),
+        ((1, 1, 0), "zero"),
+        ((1, 1, Fraction(3, 2)), "non-integer"),
+        ((1, 1, 2.5), "non-integer"),
+    ],
+    ids=["duplicate", "negative-row", "negative-col", "row-range", "col-range", "zero", "fraction", "float"],
+)
+def test_matrix_rejects_each_bad_entry(bad, message, shuffled):
+    entries = sorted(VALID + (bad,), key=lambda e: (e[0], e[1]))
+    if shuffled:
+        entries = entries[1::2] + entries[::2]
+    with pytest.raises(ValueError, match=message):
+        Matrix(3, 3, tuple(entries))
+
+
+def test_shuffled_valid_input_comes_back_sorted():
+    for entries in (VALID[::-1], (VALID[2], VALID[0], VALID[3], VALID[1])):
+        m = Matrix(3, 3, entries)
+        assert m.entries == VALID
+    m = Matrix(3, 3, [[2, 2, 1.0], (1, 0, Fraction(6, 2)), (0, 2, -1), (0, 1, 2)])
+    assert m.entries == VALID
+    assert all(type(x) is int for e in m.entries for x in e)
+
+
+def test_chain_complex_finds_a_nonzero_product_in_any_corner():
+    # a = 2x2 identity, so a @ b = b: one nonzero product entry placed in the
+    # last column (and last row) or the first column (and first row)
+    a = Matrix.from_entries(2, 2, [(0, 0, 1), (1, 1, 1)])
+    for r, c in ((1, 2), (0, 0), (0, 2), (1, 0)):
+        b = Matrix.from_entries(2, 3, [(r, c, 1)])
+        with pytest.raises(ConsistencyError):
+            ChainComplex({0: 2, 1: 2, 2: 3}, {1: a, 2: b})
+
+
+def test_chain_complex_accepts_cancelling_products():
+    # every product entry is a sum of two terms that cancel
+    a = Matrix.from_entries(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 2)])
+    b = Matrix.from_entries(2, 3, [(0, 0, 1), (1, 0, -1), (0, 2, 3), (1, 2, -3)])
+    assert a.compose(b).is_zero()
+    c = ChainComplex({0: 2, 1: 2, 2: 3}, {1: a, 2: b})
+    assert homology_dims(c, QQ) == {0: 1, 1: 0, 2: 2}

@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linstrand import (
+    GF2,
     QQ,
     complement_linearity_agrees,
     complete_clutter,
     d_partite_complement,
     edge_ideal,
     ferrers_clutter,
+    gf,
     is_linear,
     is_linear_by_betti,
+    random_clutter,
     ranked_projection,
     restrict,
 )
@@ -114,3 +119,28 @@ def test_complement_agreement_on_random_instances():
     for seed in range(25):
         c = seeded_random_instance(seed)
         assert complement_linearity_agrees(c), f"seed {seed}"
+
+
+# random partitioned clutters within the oracle's reach, as in test_identities
+RANDOM_CLUTTERS = st.builds(
+    random_clutter,
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda sizes: sum(sizes) <= 10),
+    st.floats(0.0, 1.0),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(RANDOM_CLUTTERS)
+def test_characterization_matches_oracle_property(c):
+    assume(c.edges)
+    got = is_linear(c).linear
+    for f in (QQ, GF2, gf(3)):
+        assert got == is_linear_by_betti(edge_ideal(c), f), f
+
+
+@settings(max_examples=30, deadline=None)
+@given(RANDOM_CLUTTERS)
+def test_complement_agreement_property(c):
+    assume(c.edges)
+    assert complement_linearity_agrees(c)

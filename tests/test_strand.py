@@ -166,3 +166,21 @@ def test_strand_complex_validation():
 def test_vertex_guard_on_strand():
     with pytest.raises(SizeGuardError):
         first_linear_strand(complete_clutter([5, 5, 5, 5, 5, 5]))
+
+
+def test_strand_complex_rejects_a_vertex_outside_the_source():
+    t = complete_clutter([2, 2]).vertices
+    a02, a012 = frozenset({0, 2}), frozenset({0, 1, 2})
+    # the target is the source plus vertex 1, not the source minus it
+    with pytest.raises(ValueError, match="does not drop a single vertex"):
+        StrandComplex(2, t, ((a012,), (a02,)), ((), (StrandEntry(0, 0, 1, 1),)))
+    with pytest.raises(ValueError, match="does not drop a single vertex"):
+        StrandComplex(2, t, ((a02,), (a02,)), ((), (StrandEntry(0, 0, 1, 1),)))
+    # vertex 0 is in the source, but dropping it does not give the target
+    with pytest.raises(ValueError, match="does not drop a single vertex"):
+        StrandComplex(2, t, ((frozenset({0, 1}),), (a012,)), ((), (StrandEntry(0, 0, 1, 0),)))
+    # a vertex that is no vertex at all
+    with pytest.raises(ValueError, match="does not drop a single vertex"):
+        StrandComplex(2, t, ((a02,), (a012,)), ((), (StrandEntry(0, 0, 1, -1),)))
+    ok = StrandComplex(2, t, ((a02,), (a012,)), ((), (StrandEntry(0, 0, -1, 1),)))
+    assert ok.ranks() == (1, 1)
