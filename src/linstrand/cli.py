@@ -7,6 +7,10 @@ Instances are JSON files of either form:
 
 Exit codes: 0 ok, 1 internal consistency failure (a verify check failed or an
 invariant broke), 2 unparsable input, 3 size guard violation.
+
+Each subcommand is declared once, in _COMMANDS, with its help, its extra
+options and a handler that returns the JSON payload and the text lines; main
+loads the instance, runs the handler, and prints one or the other.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def dump_instance(c: Clutter) -> dict:
     t = c.vertices
     return {
         "parts": [[t.names[v] for v in t.part_members(i)] for i in range(t.d)],
-        "edges": [sorted((t.names[v] for v in e), key=lambda nm: t.index(nm)) for e in c.edges],
+        "edges": _name_sets(c, c.edges),
     }
 
 
@@ -185,6 +189,123 @@ def _field_arg(text: str) -> Field:
     raise argparse.ArgumentTypeError("field must be q or fp:<prime>")
 
 
+def _listed(name_sets: list[list[str]]) -> list[str]:
+    return ["  {" + ",".join(s) + "}" for s in name_sets]
+
+
+def _covers(c: Clutter, args) -> tuple[dict, list[str]]:
+    covers = _name_sets(c, minimal_vertex_covers(c))
+    return {"covers": covers}, [f"{len(covers)} minimal vertex covers:", *_listed(covers)]
+
+
+def _dual(c: Clutter, args) -> tuple[dict, list[str]]:
+    gens = _name_sets(c, alexander_dual(edge_ideal(c)).generators)
+    return {"generators": gens}, [f"{len(gens)} generators of the Alexander dual:", *_listed(gens)]
+
+
+def _complement(c: Clutter, args) -> tuple[dict, list[str]]:
+    payload = dump_instance(d_partite_complement(c))
+    return payload, [f"{len(payload['edges'])} complement edges:", *_listed(payload["edges"])]
+
+
+def _betti(c: Clutter, args) -> tuple[dict, list[str]]:
+    table = betti_table(edge_ideal(c), args.field, degree_cap=args.degree_cap, max_vertices=args.max_vertices)
+    triples = sorted((i, j, v) for (i, j), v in table.graded.items())
+    lines = ["graded Betti numbers beta_{i,j}:"]
+    lines += [f"  i={i} j={j}: {v}" for i, j, v in triples]
+    lines.append(f"linear: {'yes' if table.is_linear() else 'no'}")
+    return {"betti": [list(t) for t in triples], "min_degree": table.min_degree}, lines
+
+
+def _strand(c: Clutter, args) -> tuple[dict, list[str]]:
+    s = first_linear_strand(c, max_vertices=args.max_vertices)
+    payload: dict = {"ranks": list(s.ranks())}
+    lines = ["strand ranks: " + (" ".join(str(r) for r in s.ranks()) if s.ranks() else "(empty)")]
+    if args.matrices:
+        payload["levels"] = [_name_sets(c, level) for level in s.levels]
+        payload["differentials"] = [
+            [[e.row, e.col, e.sign, c.vertices.names[e.vertex]] for e in diff]
+            for diff in s.differentials
+        ]
+        for i, level in enumerate(s.levels):
+            lines.append(f"level {i}: " + " ".join(c.vertices.label(a) for a in level))
+        for i in range(1, s.length()):
+            lines.append(f"differential {i}:")
+            lines += [
+                f"  e[{e.col}] -> {'+' if e.sign > 0 else '-'}{c.vertices.names[e.vertex]} e[{e.row}]"
+                for e in s.differentials[i]
+            ]
+    return payload, lines
+
+
+def _lyubeznik(c: Clutter, args) -> tuple[dict, list[str]]:
+    col = lyubeznik_last_column(c, args.field, max_vertices=args.max_vertices)
+    payload = {"lyubeznik_column": list(col.values), "n": col.n, "d": col.d}
+    return payload, [f"last Lyubeznik column (p = 0..{col.n - col.d}): " + " ".join(str(v) for v in col.values)]
+
+
+def _linear(c: Clutter, args) -> tuple[dict, list[str]]:
+    verdict = is_linear(c)
+    cert = None
+    lines = [f"linear: {'yes' if verdict.linear else 'no'}"]
+    if verdict.certificate is not None:
+        w = verdict.certificate
+        cert = {
+            "first": sorted(c.vertices.names[v] for v in w.first),
+            "second": sorted(c.vertices.names[v] for v in w.second),
+            "parts": list(w.parts),
+            "side": w.side,
+        }
+        lines.append(
+            f"certificate: restrict to {c.vertices.label(w.first)} u {c.vertices.label(w.second)}, "
+            f"take the {w.side}, project onto parts {list(w.parts)}"
+        )
+    return {"verdict": verdict.linear, "certificate": cert}, lines
+
+
+def _verify(c: Clutter, args) -> tuple[dict, list[str]]:
+    checks = run_verification(c, args.field, max_vertices=args.max_vertices)
+    skipped = sum(ch.ok is None for ch in checks)
+    payload = {
+        "ok": all(ch.ok is not False for ch in checks),
+        "checks": [{"name": ch.name, "ok": ch.ok, "detail": ch.detail} for ch in checks],
+    }
+    lines = [
+        f"{'skip' if ch.ok is None else 'ok  ' if ch.ok else 'FAIL'} {ch.name}"
+        + (f" ({ch.detail})" if ch.detail else "")
+        for ch in checks
+    ]
+    if not payload["ok"]:
+        lines.append("some checks FAILED")
+    else:
+        lines.append(f"no check failed, {skipped} skipped" if skipped else "all checks passed")
+    return payload, lines
+
+
+# (name, help, handler, extra options as (flag, add_argument keywords)); each
+# handler returns the JSON payload and the text lines of its subcommand
+_COMMANDS = (
+    ("dual", "generators of the Alexander dual (cover ideal)", _dual, ()),
+    ("complement", "the d-partite complement, as an instance", _complement, ()),
+    ("covers", "minimal vertex covers", _covers, ()),
+    (
+        "betti",
+        "graded Betti numbers of the edge ideal",
+        _betti,
+        (("--degree-cap", dict(type=int, default=None, help="only multidegrees up to this size")),),
+    ),
+    (
+        "strand",
+        "first linear strand of the edge ideal",
+        _strand,
+        (("--matrices", dict(action="store_true", help="also print bases and differential entries")),),
+    ),
+    ("lyubeznik", "last Lyubeznik column of the cover ideal's quotient", _lyubeznik, ()),
+    ("linear", "linear-resolution verdict with certificate", _linear, ()),
+    ("verify", "run the instance cross-check suite", _verify, ()),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("instance", help="path to a JSON instance file")
@@ -193,32 +314,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p = argparse.ArgumentParser(prog="linstrand", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("dual", parents=[common], help="generators of the Alexander dual (cover ideal)")
-    sub.add_parser("complement", parents=[common], help="the d-partite complement, as an instance")
-    sub.add_parser("covers", parents=[common], help="minimal vertex covers")
-    betti = sub.add_parser("betti", parents=[common], help="graded Betti numbers of the edge ideal")
-    betti.add_argument("--degree-cap", type=int, default=None, help="only multidegrees up to this size")
-    strand = sub.add_parser("strand", parents=[common], help="first linear strand of the edge ideal")
-    strand.add_argument("--matrices", action="store_true", help="also print bases and differential entries")
-    sub.add_parser("lyubeznik", parents=[common], help="last Lyubeznik column of the cover ideal's quotient")
-    sub.add_parser("linear", parents=[common], help="linear-resolution verdict with certificate")
-    sub.add_parser("verify", parents=[common], help="run the instance cross-check suite")
+    for name, help_text, handler, options in _COMMANDS:
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, keywords in options:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(handler=handler)
     return p
-
-
-def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        c = load_instance(args.instance)
-        return _dispatch(args, c)
+        payload, lines = args.handler(load_instance(args.instance), args)
     except SizeGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -231,96 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args, c: Clutter) -> int:
-    fmt = args.format
-    mv = args.max_vertices
-    if args.command == "covers":
-        covers = _name_sets(c, minimal_vertex_covers(c))
-        _emit({"covers": covers}, [f"{len(covers)} minimal vertex covers:"] + ["  {" + ",".join(s) + "}" for s in covers], fmt)
-        return 0
-    if args.command == "dual":
-        dual = alexander_dual(edge_ideal(c))
-        gens = _name_sets(c, dual.generators)
-        _emit({"generators": gens}, [f"{len(gens)} generators of the Alexander dual:"] + ["  {" + ",".join(s) + "}" for s in gens], fmt)
-        return 0
-    if args.command == "complement":
-        comp = d_partite_complement(c)
-        payload = dump_instance(comp)
-        lines = [f"{len(comp.edges)} complement edges:"] + ["  {" + ",".join(e) + "}" for e in payload["edges"]]
-        _emit(payload, lines, fmt)
-        return 0
-    if args.command == "betti":
-        table = betti_table(edge_ideal(c), args.field, degree_cap=args.degree_cap, max_vertices=mv)
-        triples = sorted((i, j, v) for (i, j), v in table.graded.items())
-        lines = ["graded Betti numbers beta_{i,j}:"]
-        lines += [f"  i={i} j={j}: {v}" for i, j, v in triples]
-        lines.append(f"linear: {'yes' if table.is_linear() else 'no'}")
-        _emit({"betti": [list(t) for t in triples], "min_degree": table.min_degree}, lines, fmt)
-        return 0
-    if args.command == "strand":
-        s = first_linear_strand(c, max_vertices=mv)
-        payload: dict = {"ranks": list(s.ranks())}
-        lines = ["strand ranks: " + (" ".join(str(r) for r in s.ranks()) if s.ranks() else "(empty)")]
-        if args.matrices:
-            payload["levels"] = [_name_sets(c, level) for level in s.levels]
-            payload["differentials"] = [
-                [[e.row, e.col, e.sign, c.vertices.names[e.vertex]] for e in diff]
-                for diff in s.differentials
-            ]
-            for i, level in enumerate(s.levels):
-                lines.append(f"level {i}: " + " ".join(c.vertices.label(a) for a in level))
-            for i in range(1, s.length()):
-                lines.append(f"differential {i}:")
-                lines += [
-                    f"  e[{e.col}] -> {'+' if e.sign > 0 else '-'}{c.vertices.names[e.vertex]} e[{e.row}]"
-                    for e in s.differentials[i]
-                ]
-        _emit(payload, lines, fmt)
-        return 0
-    if args.command == "lyubeznik":
-        col = lyubeznik_last_column(c, args.field, max_vertices=mv)
-        payload = {"lyubeznik_column": list(col.values), "n": col.n, "d": col.d}
-        lines = [
-            f"last Lyubeznik column (p = 0..{col.n - col.d}): " + " ".join(str(v) for v in col.values)
-        ]
-        _emit(payload, lines, fmt)
-        return 0
-    if args.command == "linear":
-        verdict = is_linear(c)
-        cert = None
-        lines = [f"linear: {'yes' if verdict.linear else 'no'}"]
-        if verdict.certificate is not None:
-            w = verdict.certificate
-            cert = {
-                "first": sorted(c.vertices.names[v] for v in w.first),
-                "second": sorted(c.vertices.names[v] for v in w.second),
-                "parts": list(w.parts),
-                "side": w.side,
-            }
-            lines.append(
-                f"certificate: restrict to {c.vertices.label(w.first)} u {c.vertices.label(w.second)}, "
-                f"take the {w.side}, project onto parts {list(w.parts)}"
-            )
-        _emit({"verdict": verdict.linear, "certificate": cert}, lines, fmt)
-        return 0
-    if args.command == "verify":
-        checks = run_verification(c, args.field, max_vertices=mv)
-        skipped = sum(ch.ok is None for ch in checks)
-        payload = {
-            "ok": all(ch.ok is not False for ch in checks),
-            "checks": [{"name": ch.name, "ok": ch.ok, "detail": ch.detail} for ch in checks],
-        }
-        lines = [
-            f"{'skip' if ch.ok is None else 'ok  ' if ch.ok else 'FAIL'} {ch.name}"
-            + (f" ({ch.detail})" if ch.detail else "")
-            for ch in checks
-        ]
-        if not payload["ok"]:
-            lines.append("some checks FAILED")
-        else:
-            lines.append(f"no check failed, {skipped} skipped" if skipped else "all checks passed")
-        _emit(payload, lines, fmt)
-        return 0 if payload["ok"] else 1
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    # only verify's payload carries a verdict; a failed check exits 1
+    return 1 if payload.get("ok") is False else 0

@@ -111,6 +111,28 @@ def _nested_pair(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], frozen
     return None
 
 
+def _canonical_family(
+    sets: Iterable[Iterable[int]], table: VertexTable, member: str, allow_empty: bool = False
+) -> tuple[frozenset[int], ...]:
+    """The members of a family of vertex sets on the table, as frozensets in
+    canonical order.  Raises ValueError on an empty member (unless allowed),
+    on a vertex outside the table, and on a repeated member or one member
+    inside another; member names the sets in the messages."""
+    family = tuple(frozenset(s) for s in sets)
+    n = table.n
+    for s in family:
+        if not s and not allow_empty:
+            raise ValueError(f"{member}s must be nonempty")
+        if not all(0 <= v < n for v in s):
+            raise ValueError(f"{member} vertex out of range")
+    if nested := _nested_pair(family):
+        s, t = nested
+        if s == t:
+            raise ValueError(f"duplicate {member}")
+        raise ValueError(f"not an antichain: {table.label(s)} and {table.label(t)}")
+    return tuple(sorted(family, key=sorted_key))
+
+
 @dataclass(frozen=True)
 class VertexTable:
     """Ordered vertex names, optionally with a part label per vertex.
@@ -190,20 +212,7 @@ class Clutter:
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        edges = tuple(frozenset(e) for e in self.edges)
-        n = self.vertices.n
-        for e in edges:
-            if not e:
-                raise ValueError("edges must be nonempty")
-            if not all(0 <= v < n for v in e):
-                raise ValueError("edge vertex out of range")
-        if len(set(edges)) != len(edges):
-            raise ValueError("duplicate edge")
-        if nested := _nested_pair(edges):
-            e, f = nested
-            raise ValueError(
-                f"not an antichain: {self.vertices.label(e)} and {self.vertices.label(f)}"
-            )
+        edges = _canonical_family(self.edges, self.vertices, "edge")
         if self.vertices.parts is not None:
             for e in edges:
                 counts = [0] * (self.vertices.d or 0)
@@ -213,7 +222,7 @@ class Clutter:
                     raise ValueError(
                         f"edge {self.vertices.label(e)} is not a transversal of the parts"
                     )
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=sorted_key)))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n(self) -> int:

@@ -18,9 +18,12 @@ the relative pair, only the generators, and derives every number from
 faces and boundary matrices of its own.  The lcm skip uses nothing but the
 generators either, so it keeps that independence.
 
-Faces are handled as bitmasks, enumerated once per ideal and filtered per
-multidegree by mask intersection; a single-degree query filters only the
-three cardinalities its two ranks read.
+Faces are handled as bitmasks, enumerated once per ideal.  One kernel,
+_betti_at, answers every entry point: given sigma and the homological
+degrees wanted there, it filters to sigma only the face cardinalities those
+degrees read, and computes each boundary rank once.  The full table asks it
+for every degree, the linear strand and a single query for one, so the
+latter cost two ranks per multidegree.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ class BettiTable:
             key = (i, len(sigma))
             graded[key] = graded.get(key, 0) + v
         object.__setattr__(self, "graded", graded)
-
-    def value(self, i: int, j: int) -> int:
-        return self.graded.get((i, j), 0)
 
     def multigraded_value(self, i: int, sigma: frozenset[int]) -> int:
         return self.multigraded.get((i, frozenset(sigma)), 0)
@@ -110,41 +110,34 @@ def _lcm_closed(sigma: int, gen_masks: list[int]) -> bool:
     return union == sigma
 
 
-def _restricted_reduced_homology(
-    by_card: list[list[int]], sigma: int, n: int, f: Field, only_degree: int | None = None
-) -> dict[int, int]:
-    """Reduced homology dimensions of the independence complex restricted to
-    the multidegree sigma; keys are dimensions (cardinality minus one).
-    With only_degree = k, just {k: dim}, read from the faces of cardinality
-    k, k + 1 and k + 2 alone."""
-    if only_degree is None:
-        window = range(n + 1)
-    else:
-        window = range(max(only_degree, 0), min(only_degree + 2, n) + 1)
-    faces = {c: [m for m in by_card[c] if m & ~sigma == 0] for c in window}
-    top = max((c for c, row in faces.items() if row), default=-1)
-    if top < 0:
-        return {}
-    degrees = range(-1, top) if only_degree is None else (only_degree,)
-    cache: dict[int, int] = {}
+def _betti_at(by_card: list[list[int]], sigma: int, n: int, f: Field, hom_degrees) -> list[int]:
+    """beta_{i,sigma} for each i of hom_degrees, in that order: the reduced
+    homology of the independence complex restricted to sigma in degree
+    k = |sigma| - i - 2, which is its faces of cardinality k + 1 less the
+    ranks of the boundaries leaving and entering them.  Each cardinality is
+    filtered to sigma, and each rank computed, at most once."""
+    size = sigma.bit_count()
+    faces: dict[int, list[int]] = {}
+    ranks: dict[int, int] = {}
+
+    def within(c: int) -> list[int]:
+        if c not in faces:
+            faces[c] = [m for m in by_card[c] if m & ~sigma == 0] if 0 <= c <= size else []
+        return faces[c]
 
     def del_rank(c: int) -> int:
         # rank of the boundary from cardinality c to cardinality c - 1
-        if c < 1 or c > top or not faces.get(c) or not faces.get(c - 1):
-            return 0
-        if c not in cache:
-            cache[c] = rank(_mask_boundary(faces[c], faces[c - 1], n), f)
-        return cache[c]
+        if c not in ranks:
+            ranks[c] = rank(_mask_boundary(within(c), within(c - 1), n), f) if within(c) and within(c - 1) else 0
+        return ranks[c]
 
-    out: dict[int, int] = {}
-    for k in degrees:
-        if k < -1 or k > top - 1:
-            out[k] = 0
-            continue
-        h = len(faces[k + 1]) - del_rank(k + 1) - del_rank(k + 2)
+    out = []
+    for i in hom_degrees:
+        k = size - i - 2
+        h = len(within(k + 1)) - del_rank(k + 1) - del_rank(k + 2)
         if h < 0:
             raise ConsistencyError("negative reduced homology dimension")
-        out[k] = h
+        out.append(h)
     return out
 
 
@@ -155,6 +148,21 @@ def _prepare(i: SquarefreeIdeal, max_vertices: int):
     n = i.vertices.n
     gen_masks = [sum(1 << v for v in g) for g in i.generators]
     return n, gen_masks, _independent_masks(n, gen_masks)
+
+
+def _sweep(prepared, f: Field, hom_degrees) -> dict[tuple[int, frozenset[int]], int]:
+    """The nonzero beta_{i,sigma} over every lcm-closed sigma, in ascending
+    mask order, for the homological degrees hom_degrees(|sigma|) names."""
+    n, gen_masks, by_card = prepared
+    multigraded: dict[tuple[int, frozenset[int]], int] = {}
+    for sigma in range(1 << n):
+        degrees = hom_degrees(sigma.bit_count())
+        if not degrees or not _lcm_closed(sigma, gen_masks):
+            continue
+        for hom_i, v in zip(degrees, _betti_at(by_card, sigma, n, f, degrees)):
+            if v:
+                multigraded[(hom_i, _unmask(sigma, n))] = v
+    return multigraded
 
 
 def _unmask(sigma: int, n: int) -> frozenset[int]:
@@ -169,18 +177,10 @@ def betti_table(
 ) -> BettiTable:
     """All nonzero beta_{i,sigma} with |sigma| at most degree_cap (all of
     them when the cap is None), over the field f."""
-    n, gen_masks, by_card = _prepare(i, max_vertices)
-    cap = n if degree_cap is None else min(degree_cap, n)
-    multigraded: dict[tuple[int, frozenset[int]], int] = {}
-    for sigma in range(1 << n):
-        size = sigma.bit_count()
-        if size > cap or not _lcm_closed(sigma, gen_masks):
-            continue
-        h = _restricted_reduced_homology(by_card, sigma, n, f)
-        for k, v in h.items():
-            hom_i = size - k - 2
-            if v and hom_i >= 0:
-                multigraded[(hom_i, _unmask(sigma, n))] = v
+    prepared = _prepare(i, max_vertices)
+    n = prepared[0]
+    cap = n if degree_cap is None else degree_cap
+    multigraded = _sweep(prepared, f, lambda size: range(size - 1, -1, -1) if size <= cap else ())
     return BettiTable(n, i.min_degree, multigraded)
 
 
@@ -196,8 +196,7 @@ def multigraded_betti(
     smask = sum(1 << v for v in sigma)
     if not _lcm_closed(smask, gen_masks):
         return 0
-    k = len(sigma) - hom_degree - 2
-    return _restricted_reduced_homology(by_card, smask, n, f, only_degree=k).get(k, 0)
+    return _betti_at(by_card, smask, n, f, (hom_degree,))[0]
 
 
 def linear_strand_betti(
@@ -212,19 +211,12 @@ def linear_strand_betti(
     reduced homology of the restricted complex in the single degree d - 2,
     so this costs two ranks per multidegree instead of a full homology run.
     """
-    n, gen_masks, by_card = _prepare(i, max_vertices)
+    prepared = _prepare(i, max_vertices)
     d = i.min_degree
+    multigraded = _sweep(prepared, f, lambda size: (size - d,) if size >= d else ())
     graded: dict[int, int] = {}
-    multigraded: dict[tuple[int, frozenset[int]], int] = {}
-    for sigma in range(1 << n):
-        size = sigma.bit_count()
-        if size < d or not _lcm_closed(sigma, gen_masks):
-            continue
-        v = _restricted_reduced_homology(by_card, sigma, n, f, only_degree=d - 2).get(d - 2, 0)
-        if v:
-            hom_i = size - d
-            multigraded[(hom_i, _unmask(sigma, n))] = v
-            graded[hom_i] = graded.get(hom_i, 0) + v
+    for (hom_i, _), v in multigraded.items():
+        graded[hom_i] = graded.get(hom_i, 0) + v
     return graded, multigraded
 
 

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .clutters import Clutter, VertexTable, _nested_pair, d_partite_complement, minimal_sets, minimal_vertex_covers, sorted_key
+from .clutters import Clutter, VertexTable, _canonical_family, d_partite_complement, minimal_sets, minimal_vertex_covers
 from .errors import ConsistencyError
 
 __all__ = [
@@ -45,18 +45,7 @@ class SquarefreeIdeal:
     generators: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        gens = tuple(frozenset(g) for g in self.generators)
-        n = self.vertices.n
-        for g in gens:
-            if not g:
-                raise ValueError("generators must be nonempty (the unit ideal is not squarefree-graded here)")
-            if not all(0 <= v < n for v in g):
-                raise ValueError("generator support out of range")
-        if len(set(gens)) != len(gens):
-            raise ValueError("duplicate generator")
-        if _nested_pair(gens):
-            raise ValueError("generators must form an antichain")
-        object.__setattr__(self, "generators", tuple(sorted(gens, key=sorted_key)))
+        object.__setattr__(self, "generators", _canonical_family(self.generators, self.vertices, "generator"))
 
     @property
     def is_zero(self) -> bool:

@@ -16,10 +16,11 @@ skipped.  That picks the same row, the shortest with the lowest index, as a
 scan of every active row would, at logarithmic rather than linear cost per
 pivot.
 
-Validating a matrix normalises its entries, sorts them (a linear pass when
-they already come sorted) and checks each against the one before it; the
-square-zero check of a chain complex stops at the first row of the product
-that is not zero.
+Validating a matrix normalises its entries, rejecting a value or an index
+that is not integral, sorts them (a linear pass when they already come
+sorted) and checks each against the one before it.  Matrix.compose and the
+square-zero check of a chain complex share one row-by-row product, and the
+check stops at the first row of the product that is not zero.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class Field:
         if p >= 2 ** 31 or not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {p}")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.characteristic == 0
-
     def __str__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 
@@ -94,6 +91,8 @@ class Matrix:
             if type(e) is not tuple or type(r) is not int or type(c) is not int or type(v) is not int:
                 if v != int(v):
                     raise ValueError(f"non-integer entry {v!r} at ({r},{c})")
+                if r != int(r) or c != int(c):
+                    raise ValueError(f"non-integer index ({r!r},{c!r})")
                 e = (int(r), int(c), int(v))
             norm.append(e)
         norm.sort()
@@ -129,14 +128,8 @@ class Matrix:
         """self @ other, exactly, over the integers."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in composition")
-        cols_of_self: dict[int, list[tuple[int, int]]] = {}
-        for r, k, v in self.entries:
-            cols_of_self.setdefault(k, []).append((r, v))
-        acc: dict[tuple[int, int], int] = {}
-        for k, c, v in other.entries:
-            for r, w in cols_of_self.get(k, ()):
-                acc[(r, c)] = acc.get((r, c), 0) + w * v
-        return Matrix.from_entries(self.nrows, other.ncols, ((r, c, v) for (r, c), v in acc.items()))
+        entries = ((r, c, v) for r, acc in _product_rows(self, other) for c, v in sorted(acc.items()))
+        return Matrix.from_entries(self.nrows, other.ncols, entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -261,28 +254,17 @@ class ChainComplex:
     def degrees(self) -> list[int]:
         return sorted(self.dims)
 
-    def dim(self, k: int) -> int:
-        return self.dims.get(k, 0)
-
     def boundary(self, k: int) -> Matrix:
         m = self.boundaries.get(k)
         if m is not None:
             return m
         return Matrix.zero(self.dims.get(k - 1, 0), self.dims.get(k, 0))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainComplex)
-            and self.dims == other.dims
-            and {k: m for k, m in self.boundaries.items() if m.entries}
-            == {k: m for k, m in other.boundaries.items() if m.entries}
-        )
 
-
-def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
-    """Whether a @ b is zero (the shapes already match), one row of a at a
-    time: a's entries come sorted by row, so only b is regrouped.  Stops at
-    the first row whose product is not zero."""
+def _product_rows(a: Matrix, b: Matrix):
+    """a @ b one row at a time (the shapes already match): (row, {col: value})
+    for each row of a with entries, ascending, a value being zero where its
+    terms cancel.  a's entries come sorted by row, so only b is regrouped."""
     rows_of_b: dict[int, list[tuple[int, int]]] = {}
     for k, c, v in b.entries:
         rows_of_b.setdefault(k, []).append((c, v))
@@ -290,13 +272,20 @@ def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
     row = -1
     for r, k, w in a.entries:
         if r != row:
-            if any(acc.values()):
-                return False
+            if acc:
+                yield row, acc
             acc = {}
             row = r
         for c, v in rows_of_b.get(k, ()):
             acc[c] = acc.get(c, 0) + w * v
-    return not any(acc.values())
+    if acc:
+        yield row, acc
+
+
+def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
+    """Whether a @ b is zero (the shapes already match); stops at the first
+    row of the product that is not zero."""
+    return not any(any(acc.values()) for _, acc in _product_rows(a, b))
 
 
 def homology_dims(c: ChainComplex, field: Field = QQ) -> dict[int, int]:

@@ -56,8 +56,6 @@ def lyubeznik_last_column(
     c: Clutter, f: Field = QQ, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> LyubeznikColumn:
     """The last Lyubeznik column of the quotient by the cover ideal of c."""
-    if c.vertices.parts is None:
-        raise ValueError("needs a partitioned clutter")
     pair = strand_support_pair(c, max_vertices=max_vertices)
     h = homology_dims(relative_chain_complex(pair), f)
     n, d = c.n, c.vertices.d

@@ -27,13 +27,12 @@ from functools import cached_property
 from .clutters import (
     Clutter,
     VertexTable,
+    _canonical_family,
     _frozen,
     _mask,
     _members,
-    _nested_pair,
     d_partite_complement,
     independent_sets,
-    sorted_key,
 )
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
 from .linalg import ChainComplex, Matrix
@@ -55,14 +54,7 @@ class SimplicialComplex:
     facets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        facets = tuple(frozenset(f) for f in self.facets)
-        n = self.vertices.n
-        for f in facets:
-            if not all(0 <= v < n for v in f):
-                raise ValueError("facet vertex out of range")
-        if _nested_pair(facets):
-            raise ValueError("facets must form an antichain")
-        object.__setattr__(self, "facets", tuple(sorted(facets, key=sorted_key)))
+        object.__setattr__(self, "facets", _canonical_family(self.facets, self.vertices, "facet", allow_empty=True))
         object.__setattr__(self, "_facet_masks", tuple(map(_mask, self.facets)))
 
     @cached_property
@@ -208,10 +200,7 @@ def part_deficient_complex(table: VertexTable) -> SimplicialComplex:
     if table.parts is None:
         raise ValueError("need a partitioned vertex table")
     everything = frozenset(range(table.n))
-    facets = tuple(
-        everything - frozenset(table.part_members(i)) for i in range(table.d)
-    )
-    return SimplicialComplex(table, tuple(sorted(set(facets), key=sorted_key)))
+    return SimplicialComplex(table, tuple(everything - frozenset(table.part_members(i)) for i in range(table.d)))
 
 
 def strand_support_pair(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> SimplicialPair:

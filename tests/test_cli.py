@@ -68,6 +68,52 @@ def test_lyubeznik_json_matches_library(capsys):
     assert json.loads(out)["lyubeznik_column"] == [0, 0, 1, 1]
 
 
+SUBCOMMANDS = ("dual", "complement", "covers", "betti", "strand", "lyubeznik", "linear", "verify")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_runs_in_both_formats(capsys, command, fmt):
+    code, out, err = run(capsys, command, path_of("six_of_eight_transversals.json"), "--format", fmt)
+    assert code == 0, err
+    assert err == ""
+    if fmt == "json":
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert out.strip()
+
+
+COVERS_TEXT = """\
+5 minimal vertex covers:
+  {a1,a2}
+  {a1,b1,c1}
+  {a2,b2,c2}
+  {b1,b2}
+  {c1,c2}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("covers", COVERS_TEXT),
+        ("dual", COVERS_TEXT.replace("minimal vertex covers", "generators of the Alexander dual")),
+        ("complement", "2 complement edges:\n  {a1,b1,c1}\n  {a2,b2,c2}\n"),
+        (
+            "betti",
+            "graded Betti numbers beta_{i,j}:\n"
+            "  i=0 j=3: 6\n  i=1 j=4: 6\n  i=2 j=6: 1\n"
+            "linear: no\n",
+        ),
+        ("lyubeznik", "last Lyubeznik column (p = 0..3): 0 0 1 1\n"),
+    ],
+)
+def test_text_output_is_pinned(capsys, command, expected):
+    code, out, _ = run(capsys, command, path_of("six_of_eight_transversals.json"))
+    assert code == 0
+    assert out == expected
+
+
 def test_strand_text_and_matrices(capsys):
     code, out, _ = run(capsys, "strand", path_of("six_of_eight_transversals.json"), "--matrices")
     assert code == 0
@@ -115,6 +161,20 @@ def test_verify_reports_a_skipped_check_as_skipped(capsys, tmp_path):
     assert "skip linkage-matches-colon (n = 13 > 12)" in lines
     assert lines[-1] == "no check failed, 1 skipped"
     assert "all checks passed" not in out
+
+
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
+    from linstrand import cli
+
+    checks = [cli.Check("holds", True), cli.Check("breaks", False, "detail"), cli.Check("skipped", None, "why")]
+    monkeypatch.setattr(cli, "run_verification", lambda c, f, max_vertices: checks)
+    inst = path_of("six_of_eight_transversals.json")
+    code, out, _ = run(capsys, "verify", inst)
+    assert code == 1
+    assert out.splitlines() == ["ok   holds", "FAIL breaks (detail)", "skip skipped (why)", "some checks FAILED"]
+    code, out, _ = run(capsys, "verify", inst, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
 
 
 def test_complement_output_is_reloadable(capsys, tmp_path):

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from linstrand import (
     Clutter,
+    SimplicialComplex,
     SizeGuardError,
+    SquarefreeIdeal,
     VertexTable,
     complete_clutter,
     d_partite_complement,
@@ -39,6 +41,37 @@ def test_clutter_rejects_containment():
     t = VertexTable(("x", "y", "z"), None)
     with pytest.raises(ValueError):
         Clutter(t, (frozenset({0}), frozenset({0, 1})))
+
+
+SET_FAMILIES = [Clutter, SquarefreeIdeal, SimplicialComplex]
+
+
+@pytest.mark.parametrize("family_type", SET_FAMILIES, ids=lambda t: t.__name__)
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        (({0, 3}, {1}), "out of range"),
+        (({1}, {-1, 2}), "out of range"),
+        (({0, 1}, {2}, {1, 0}), "duplicate"),
+        (({2}, {0, 1}, {0}), "antichain"),
+        (({0, 1}, {1, 2}, {0, 1, 2}), "antichain"),
+    ],
+    ids=["beyond-table", "negative", "repeated", "nested", "nested-across-sizes"],
+)
+def test_set_families_reject_bad_members(family_type, members, message):
+    t = VertexTable(("x", "y", "z"), None)
+    with pytest.raises(ValueError, match=message):
+        family_type(t, tuple(frozenset(m) for m in members))
+
+
+@pytest.mark.parametrize("family_type", SET_FAMILIES, ids=lambda t: t.__name__)
+def test_only_a_complex_takes_the_empty_set(family_type):
+    t = VertexTable(("x", "y", "z"), None)
+    if family_type is SimplicialComplex:
+        assert family_type(t, (frozenset(),)).facets == (frozenset(),)
+    else:
+        with pytest.raises(ValueError, match="nonempty"):
+            family_type(t, (frozenset(),))
 
 
 def test_clutter_rejects_nontransversal_edge():

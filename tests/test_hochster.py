@@ -81,9 +81,9 @@ def test_characteristic_independence_on_fixture():
     assert betti_table(i, QQ).graded == betti_table(i, gf(32003)).graded
 
 
-def test_projective_plane_betti_depends_on_characteristic():
-    # the 6-vertex triangulation of the projective plane: independence
-    # complex of the ideal generated by the ten complementary triples
+def projective_plane():
+    """The ideal whose independence complex is the 6-vertex triangulation of
+    the projective plane: generated by the ten complementary triples."""
     facets = [
         (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
         (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5),
@@ -91,7 +91,11 @@ def test_projective_plane_betti_depends_on_characteristic():
     facet_set = {frozenset(f) for f in facets}
     gens = [frozenset(s) for s in combinations(range(6), 3) if frozenset(s) not in facet_set]
     assert len(gens) == 10
-    i = ideal(6, *gens)
+    return ideal(6, *gens)
+
+
+def test_projective_plane_betti_depends_on_characteristic():
+    i = projective_plane()
     full = frozenset(range(6))
     assert multigraded_betti(i, 3, full, GF2) == 1
     assert multigraded_betti(i, 3, full, QQ) == 0
@@ -129,6 +133,43 @@ def test_multigraded_betti_single_query_agrees():
     for (k, sigma), v in bt.multigraded.items():
         assert multigraded_betti(i, k, sigma, QQ) == v
     assert multigraded_betti(i, 0, frozenset({0}), QQ) == 0
+
+
+def small_ideals():
+    """Fixtures and seeded random edge, linkage and cover ideals, n <= 6."""
+    yield "path", ideal(3, {0, 1}, {1, 2})
+    yield "mixed degrees", ideal(4, {0}, {1, 2, 3})
+    yield "projective plane", projective_plane()
+    yield "six of eight", edge_ideal(six_of_eight_transversals())
+    shapes = ([2, 2], [2, 3], [3, 3], [2, 2, 2], [1, 2, 3])
+    for seed in range(5):
+        c = random_clutter(shapes[seed], 0.6, seed=seed)
+        if c.edges:
+            yield f"edge ideal, seed {seed}", edge_ideal(c)
+            yield f"cover ideal, seed {seed}", alexander_dual(edge_ideal(c))
+        if not linkage_ideal(c).is_zero:
+            yield f"linkage ideal, seed {seed}", linkage_ideal(c)
+
+
+@pytest.mark.parametrize("f", [QQ, GF2], ids=str)
+def test_every_entry_point_reads_the_same_kernel(f):
+    """Every single query, zeros included, and the linear strand agree with
+    the full table.  The one cell the table leaves out is sigma = {} at
+    i = -1, the reduced homology of {emptyset} in degree -1."""
+    cases = list(small_ideals())
+    assert len(cases) >= 12
+    for label, i in cases:
+        n = i.vertices.n
+        assert n <= 6
+        bt = betti_table(i, f)
+        for sigma in all_subsets(n):
+            for k in range(-1, n + 1):
+                expected = 1 if (k, sigma) == (-1, frozenset()) else bt.multigraded_value(k, sigma)
+                assert multigraded_betti(i, k, sigma, f) == expected, f"{label}: beta_{k},{sorted(sigma)}"
+        d = i.min_degree
+        graded, multigraded = linear_strand_betti(i, f)
+        assert graded == {k: v for (k, j), v in bt.graded.items() if j == k + d}, label
+        assert multigraded == {(k, s): v for (k, s), v in bt.multigraded.items() if len(s) == k + d}, label
 
 
 def test_is_linear_by_betti_requires_pure_degree():

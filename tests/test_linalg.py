@@ -196,8 +196,13 @@ VALID = ((0, 1, 2), (0, 2, -1), (1, 0, 3), (2, 2, 1))
         ((1, 1, 0), "zero"),
         ((1, 1, Fraction(3, 2)), "non-integer"),
         ((1, 1, 2.5), "non-integer"),
+        ((0.5, 1, 1), "non-integer"),
+        ((1, 2.9, 1), "non-integer"),
     ],
-    ids=["duplicate", "negative-row", "negative-col", "row-range", "col-range", "zero", "fraction", "float"],
+    ids=[
+        "duplicate", "negative-row", "negative-col", "row-range", "col-range", "zero", "fraction", "float",
+        "float-row", "float-col",
+    ],
 )
 def test_matrix_rejects_each_bad_entry(bad, message, shuffled):
     entries = sorted(VALID + (bad,), key=lambda e: (e[0], e[1]))
