@@ -18,7 +18,9 @@ consumes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -399,13 +401,27 @@ def _partitioned_table(part_sizes: Sequence[int]) -> VertexTable:
     return VertexTable(tuple(names), tuple(parts))
 
 
+# how many shapes complete_clutter keeps; a loop over more shapes than this
+# in turn misses the cache on every call
+_COMPLETE_CACHE_SHAPES = 16
+
+
 def complete_clutter(part_sizes: Sequence[int]) -> Clutter:
     """All transversals of parts of the given sizes.
 
-    Each transversal is copied from a set, which sizes the frozenset's table
-    for its members; built straight from a tuple, a frozenset of five or more
-    members gets twice that table (728 bytes rather than 472 at five), and
-    random_clutter hands these same objects out as its edges."""
+    One shared instance per shape: the last _COMPLETE_CACHE_SHAPES (16)
+    shapes asked for are kept, and asking again for one of them returns the
+    same object, edge frozensets and VertexTable included.  Clutters are
+    immutable, so sharing is safe, and random_clutter hands these same
+    frozensets out as its edges.  Each transversal is copied from a set,
+    which sizes the frozenset's table for its members; built straight from a
+    tuple, a frozenset of five or more members gets twice that table (728
+    bytes rather than 472 at five)."""
+    return _complete_clutter(tuple(operator.index(s) for s in part_sizes))
+
+
+@functools.lru_cache(maxsize=_COMPLETE_CACHE_SHAPES)
+def _complete_clutter(part_sizes: tuple[int, ...]) -> Clutter:
     table = _partitioned_table(part_sizes)
     prod = itertools.product(*(table.part_members(i) for i in range(len(part_sizes))))
     return Clutter(table, tuple(frozenset(set(t)) for t in prod))
@@ -434,11 +450,17 @@ def random_clutter(part_sizes: Sequence[int], edge_probability: float, seed: int
     """Keep each transversal independently with the given probability.
 
     Deterministic per seed: transversals are visited in canonical order and
-    consume one uniform draw each.
+    consume one uniform draw each.  Draws of one shape share memory: the
+    kept edges are the frozensets of the shared complete_clutter of that
+    shape (cached for the last 16 shapes), on its VertexTable.  Any
+    subfamily of those edges, kept in their canonical order, is a valid
+    clutter, so the draw is not validated again.
     """
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     complete = complete_clutter(part_sizes)
     rng = random.Random(seed)
-    edges = tuple(e for e in complete.edges if rng.random() < edge_probability)
-    return Clutter(complete.vertices, edges)
+    drawn = object.__new__(Clutter)
+    object.__setattr__(drawn, "vertices", complete.vertices)
+    object.__setattr__(drawn, "edges", tuple(e for e in complete.edges if rng.random() < edge_probability))
+    return drawn

@@ -18,12 +18,26 @@ the relative pair, only the generators, and derives every number from
 faces and boundary matrices of its own.  The lcm skip uses nothing but the
 generators either, so it keeps that independence.
 
-Faces are handled as bitmasks, enumerated once per ideal.  One kernel,
-_betti_at, answers every entry point: given sigma and the homological
-degrees wanted there, it filters to sigma only the face cardinalities those
-degrees read, and computes each boundary rank once.  The full table asks it
-for every degree, the linear strand and a single query for one, so the
-latter cost two ranks per multidegree.
+The homology is taken relative to a vertex star, which makes every matrix
+smaller.  Let v be the lowest vertex of a nonempty sigma.  The star of v in
+the restricted complex (the faces F with F | {v} a face) is a cone with apex
+v, so it is acyclic, and the long exact sequence of the pair gives
+H~_k(complex) = H_k(complex, star of v) over every field.  The relative
+chains are the faces F inside sigma with F | {v} not a face; faces through v
+all lie in the star, so none of them is a chain.  When {v} is itself a
+generator the star is void, every face (the empty one included) is a
+chain, and the relative homology is the reduced homology itself.
+sigma = {} has no vertex and keeps its one face, the empty one.  The star
+is read off the generator masks alone, like everything else here: the
+oracle imports nothing from strand, simplicial or lyubeznik, so the
+reduction keeps it independent of the routes it checks.
+
+Faces are handled as bitmasks, grown once per ideal from the empty face.
+One kernel, _betti_at, answers every entry point: given sigma and the
+homological degrees wanted there, it filters to sigma only the chain
+cardinalities those degrees read, and computes each boundary rank once.
+The full table asks it for every degree, the linear strand and a single
+query for one, so the latter cost two ranks per multidegree.
 """
 
 from __future__ import annotations
@@ -75,12 +89,28 @@ class BettiTable:
 
 def _independent_masks(n: int, gen_masks: list[int]) -> list[list[int]]:
     """Faces of the independence complex of the generator supports, as
-    bitmasks grouped by cardinality (index 0 holds the empty face)."""
-    by_card: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        if any(mask & g == g for g in gen_masks):
-            continue
-        by_card[mask.bit_count()].append(mask)
+    bitmasks grouped by cardinality (index 0 holds the empty face), each
+    cardinality in ascending mask order.
+
+    Grown from the empty face: a face of cardinality c + 1 is a face of
+    cardinality c plus a vertex v above its highest one, and it is a face
+    unless a generator through v lies inside it (any other generator would
+    lie inside the smaller face already).  Taking v in ascending order
+    outside, and the smaller faces below bit v in their ascending order
+    inside, lists each cardinality in ascending mask order."""
+    through = [[g for g in gen_masks if g >> v & 1] for v in range(n)]
+    by_card: list[list[int]] = [[0]]
+    for _ in range(n):
+        level = []
+        for v in range(n):
+            bit = 1 << v
+            for m in by_card[-1]:
+                if m >= bit:
+                    break
+                grown = m | bit
+                if not any(grown & g == g for g in through[v]):
+                    level.append(grown)
+        by_card.append(level)
     return by_card
 
 
@@ -110,31 +140,42 @@ def _lcm_closed(sigma: int, gen_masks: list[int]) -> bool:
     return union == sigma
 
 
-def _betti_at(by_card: list[list[int]], sigma: int, n: int, f: Field, hom_degrees) -> list[int]:
+def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     """beta_{i,sigma} for each i of hom_degrees, in that order: the reduced
     homology of the independence complex restricted to sigma in degree
-    k = |sigma| - i - 2, which is its faces of cardinality k + 1 less the
-    ranks of the boundaries leaving and entering them.  Each cardinality is
-    filtered to sigma, and each rank computed, at most once."""
+    k = |sigma| - i - 2, taken relative to the star of the lowest vertex v
+    of sigma.  The chains of cardinality c are the faces F inside sigma of
+    that cardinality with F | {v} not a face, so the homology is the number
+    of chains less the ranks of the boundaries leaving and entering them;
+    _mask_boundary drops the faces of the star, which are zero in the
+    quotient.  At sigma = {} there is no v and every face is a chain.  Each
+    cardinality is filtered, and each rank computed, at most once."""
+    n, _, by_card, independent = prepared
     size = sigma.bit_count()
+    apex = sigma & -sigma
     faces: dict[int, list[int]] = {}
     ranks: dict[int, int] = {}
 
-    def within(c: int) -> list[int]:
+    def chains(c: int) -> list[int]:
         if c not in faces:
-            faces[c] = [m for m in by_card[c] if m & ~sigma == 0] if 0 <= c <= size else []
+            if not 0 <= c <= size:
+                faces[c] = []
+            elif apex:
+                faces[c] = [m for m in by_card[c] if m & ~sigma == 0 and m | apex not in independent]
+            else:
+                faces[c] = [m for m in by_card[c] if m & ~sigma == 0]
         return faces[c]
 
     def del_rank(c: int) -> int:
         # rank of the boundary from cardinality c to cardinality c - 1
         if c not in ranks:
-            ranks[c] = rank(_mask_boundary(within(c), within(c - 1), n), f) if within(c) and within(c - 1) else 0
+            ranks[c] = rank(_mask_boundary(chains(c), chains(c - 1), n), f) if chains(c) and chains(c - 1) else 0
         return ranks[c]
 
     out = []
     for i in hom_degrees:
         k = size - i - 2
-        h = len(within(k + 1)) - del_rank(k + 1) - del_rank(k + 2)
+        h = len(chains(k + 1)) - del_rank(k + 1) - del_rank(k + 2)
         if h < 0:
             raise ConsistencyError("negative reduced homology dimension")
         out.append(h)
@@ -147,22 +188,35 @@ def _prepare(i: SquarefreeIdeal, max_vertices: int):
         raise ValueError("the zero ideal has no Betti table")
     n = i.vertices.n
     gen_masks = [sum(1 << v for v in g) for g in i.generators]
-    return n, gen_masks, _independent_masks(n, gen_masks)
+    by_card = _independent_masks(n, gen_masks)
+    return n, gen_masks, by_card, {m for level in by_card for m in level}
 
 
 def _sweep(prepared, f: Field, hom_degrees) -> dict[tuple[int, frozenset[int]], int]:
     """The nonzero beta_{i,sigma} over every lcm-closed sigma, in ascending
     mask order, for the homological degrees hom_degrees(|sigma|) names."""
-    n, gen_masks, by_card = prepared
+    n, gen_masks = prepared[:2]
     multigraded: dict[tuple[int, frozenset[int]], int] = {}
     for sigma in range(1 << n):
         degrees = hom_degrees(sigma.bit_count())
         if not degrees or not _lcm_closed(sigma, gen_masks):
             continue
-        for hom_i, v in zip(degrees, _betti_at(by_card, sigma, n, f, degrees)):
+        for hom_i, v in zip(degrees, _betti_at(prepared, sigma, f, degrees)):
             if v:
                 multigraded[(hom_i, _unmask(sigma, n))] = v
     return multigraded
+
+
+def _betti_degrees(
+    i: SquarefreeIdeal, hom_degrees, sigma: frozenset[int], f: Field, max_vertices: int
+) -> list[int]:
+    """beta_{i,sigma} for each i of hom_degrees, in that order, preparing
+    the oracle once."""
+    prepared = _prepare(i, max_vertices)
+    smask = sum(1 << v for v in sigma)
+    if not _lcm_closed(smask, prepared[1]):
+        return [0] * len(hom_degrees)
+    return _betti_at(prepared, smask, f, hom_degrees)
 
 
 def _unmask(sigma: int, n: int) -> frozenset[int]:
@@ -191,12 +245,12 @@ def multigraded_betti(
     f: Field = QQ,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> int:
-    """A single beta_{i,sigma} without sweeping the whole table."""
-    n, gen_masks, by_card = _prepare(i, max_vertices)
-    smask = sum(1 << v for v in sigma)
-    if not _lcm_closed(smask, gen_masks):
-        return 0
-    return _betti_at(by_card, smask, n, f, (hom_degree,))[0]
+    """A single beta_{i,sigma} without sweeping the whole table.
+
+    At sigma = {} and i = -1 this is 1, the reduced homology of {emptyset}
+    in degree -1, which Hochster's formula places there; betti_table records
+    no i < 0, so this is the one cell where the two differ."""
+    return _betti_degrees(i, (hom_degree,), sigma, f, max_vertices)[0]
 
 
 def linear_strand_betti(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +239,29 @@ def test_random_clutter_is_deterministic_per_seed():
     c = random_clutter([2, 2, 2], 0.5, seed=12)
     # not a guarantee in general, but these seeds do differ
     assert a != c
+
+
+def test_draws_of_one_shape_share_their_edges():
+    sizes = [3, 3, 2]
+    transversals = [frozenset(t) for t in itertools.product(range(3), range(3, 6), range(6, 8))]
+    complete = complete_clutter(sizes)
+    assert complete_clutter(tuple(sizes)) is complete
+    a = random_clutter(sizes, 0.5, seed=1)
+    b = random_clutter(sizes, 0.5, seed=2)
+    common = set(a.edges) & set(b.edges)
+    assert common
+    for e in common:
+        assert a.edges[a.edges.index(e)] is b.edges[b.edges.index(e)]
+    assert a.vertices is b.vertices is complete.vertices
+    # the draws are valid clutters in canonical order, and the shared
+    # instance is left as it was
+    assert Clutter(a.vertices, a.edges) == a
+    assert complete_clutter(sizes) is complete
+    assert complete.edges == tuple(sorted(transversals, key=lambda e: sorted(e)))
+    with pytest.raises(ValueError):
+        complete_clutter([2, 0])
+    with pytest.raises(TypeError):
+        complete_clutter([2.0])
 
 
 def test_vertex_guard_trips():

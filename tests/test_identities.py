@@ -1,7 +1,8 @@
 """The identities the package rests on, as properties of random instances
 within the oracle's reach (n <= 10), over QQ, GF(2) and GF(3): the strand
 is the relative pair, the Lyubeznik column matches the Betti cross-check,
-and the strand's ranks and multidegrees are the oracle's linear diagonal."""
+and the strand's ranks and multidegrees are the oracle's linear diagonal.
+The last identity is also checked once on four parts at n = 14."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,16 @@ def test_strand_pair_column_and_oracle_agree(sizes, p, seed):
     assert verify_support(s, strand_support_pair(c)).ok
     for f in FIELDS:
         assert cross_check_betti(c, f).ok, f
+        graded, multigraded = linear_strand_betti(edge_ideal(c), f)
+        assert graded == dict(enumerate(s.ranks())), f
+        assert multigraded == {(i, a): 1 for i, level in enumerate(s.levels) for a in level}, f
+
+
+def test_strand_is_the_oracle_diagonal_on_four_parts_at_fourteen_vertices():
+    c = random_clutter([3, 4, 4, 3], 0.5, 1)
+    assert c.n == 14
+    s = first_linear_strand(c)
+    for f in (QQ, GF2):
         graded, multigraded = linear_strand_betti(edge_ideal(c), f)
         assert graded == dict(enumerate(s.ranks())), f
         assert multigraded == {(i, a): 1 for i, level in enumerate(s.levels) for a in level}, f

@@ -8,7 +8,10 @@ from linstrand import (
     cross_check_betti,
     gf,
     homology_dims,
+    linkage_ideal,
     lyubeznik_last_column,
+    multigraded_betti,
+    random_clutter,
     relative_chain_complex,
     strand_support_pair,
 )
@@ -60,6 +63,23 @@ def test_cross_check_on_random_instances():
         if not c.edges:
             continue
         assert cross_check_betti(c, QQ).ok, f"seed {seed}"
+
+
+@pytest.mark.parametrize("f", [QQ, gf(2), gf(3)], ids=str)
+def test_cross_check_rows_are_the_single_queries(f):
+    """One oracle preparation answers every row: each row p holds the
+    column entry and beta_{p-1} at the full multidegree, row for row."""
+    cases = [six_of_eight_transversals(), corner_star_four_parts(), nine_edge_bipartite()]
+    cases += [random_clutter(sizes, 0.5, seed) for seed, sizes in enumerate(([3, 3], [2, 2, 3], [4, 4], [2, 2, 2, 2]))]
+    for c in cases:
+        col = lyubeznik_last_column(c, f)
+        comp = linkage_ideal(c)
+        full = frozenset(range(c.n))
+        want = tuple(
+            (p, col[p], 0 if p == 0 or comp.is_zero else multigraded_betti(comp, p - 1, full, f))
+            for p in range(c.n - c.vertices.d)
+        )
+        assert cross_check_betti(c, f).rows == want
 
 
 def test_column_agrees_across_characteristics_on_fixtures():
