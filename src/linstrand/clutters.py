@@ -320,15 +320,11 @@ def restrict(c: Clutter, w: Iterable[int]) -> Clutter:
     w = frozenset(w)
     if not all(0 <= v < c.n for v in w):
         raise ValueError("restriction set out of range")
-    table = c.vertices.restricted(w)
-    order = sorted(w)
-    renum = {v: i for i, v in enumerate(order)}
-    edges = tuple(frozenset(renum[v] for v in e) for e in c.edges if e <= w)
-    return Clutter(table, edges)
+    return _on_subset(c, w, (e for e in c.edges if e <= w))
 
 
 def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
-    """Project edges onto the union of the given parts, keeping minimal images.
+    """Project edges onto the union of the given parts, keeping each image once.
 
     For a d-partite d-uniform clutter every projected edge has exactly one
     vertex in each chosen part, so the projection is |parts|-partite uniform;
@@ -342,11 +338,15 @@ def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
     if not all(0 <= p < c.vertices.d for p in chosen):
         raise ValueError("part index out of range")
     w = frozenset(v for p in chosen for v in c.vertices.part_members(p))
-    table = c.vertices.restricted(w)
-    order = sorted(w)
-    renum = {v: i for i, v in enumerate(order)}
-    images = (frozenset(renum[v] for v in e & w) for e in c.edges)
-    return Clutter(table, minimal_sets(images))
+    # every image has one vertex in each chosen part, so none contains another
+    return _on_subset(c, w, {e & w for e in c.edges})
+
+
+def _on_subset(c: Clutter, w: frozenset[int], edges: Iterable[frozenset[int]]) -> Clutter:
+    """The clutter of the given distinct subsets of w on the sub-table on w,
+    the vertices of w renumbered in order."""
+    renum = {v: i for i, v in enumerate(sorted(w))}
+    return Clutter(c.vertices.restricted(w), tuple(frozenset(renum[v] for v in e) for e in edges))
 
 
 def _freeze(x):
@@ -376,14 +376,9 @@ def from_point_configuration(points: Sequence[Sequence[object]]) -> Clutter:
         for i, x in enumerate(r):
             if x not in labels[i]:
                 labels[i][x] = len(labels[i])
-    names: list[str] = []
-    parts: list[int] = []
-    offsets = []
-    for i in range(d):
-        offsets.append(len(names))
-        names.extend(f"{_part_letter(i)}{j + 1}" for j in range(len(labels[i])))
-        parts.extend([i] * len(labels[i]))
-    table = VertexTable(tuple(names), tuple(parts))
+    sizes = [len(part) for part in labels]
+    table = _partitioned_table(sizes)
+    offsets = list(itertools.accumulate(sizes, initial=0))
     edges: dict[frozenset[int], None] = {}
     for r in rows:
         edges[frozenset(offsets[i] + labels[i][x] for i, x in enumerate(r))] = None

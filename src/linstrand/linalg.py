@@ -56,6 +56,8 @@ class Field:
 
     def __post_init__(self):
         p = self.characteristic
+        if type(p) is not int:
+            raise ValueError(f"characteristic must be an int, got {p!r}")
         if p == 0:
             return
         if p >= 2 ** 31 or not _is_prime(p):

@@ -14,6 +14,9 @@ Level i corresponds to the (i+d-1)-dimensional faces of the relative pair of
 the independence complex of the complement modulo the part-deficient
 subcomplex, and the matrix of scalars above is exactly the relative boundary
 matrix; verify_support checks that correspondence entry by entry.
+A StrandComplex therefore stores only its levels: the differential, and each
+scalar skeleton, is derived from them by the signed-drop rule that also
+builds every relative boundary matrix (simplicial._signed_drops).
 
 The basis is grown from the edges: level 0 is the edges of c (a transversal
 is independent in the complement exactly when it is an edge of c), and level
@@ -32,12 +35,13 @@ strand is a resolution there; strand_homology_at computes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .clutters import Clutter, VertexTable, _frozen, _mask, _members, d_partite_complement
+from .clutters import Clutter, VertexTable, _mask, _members, d_partite_complement
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 from .linalg import ChainComplex, Field, Matrix, QQ, homology_dims
-from .simplicial import SimplicialPair, _signed_drops, relative_chain_complex
+from .simplicial import SimplicialPair, _boundary_matrix, _signed_drops, relative_chain_complex
 
 __all__ = ["StrandEntry", "StrandComplex", "SupportReport", "first_linear_strand", "verify_support", "strand_homology_at"]
 
@@ -54,36 +58,30 @@ class StrandEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class StrandComplex:
-    """Levels of basis sets and, for each level i >= 1, the entries of the
-    differential from level i to level i - 1.  differentials[0] is empty by
-    convention (nothing below level 0)."""
+    """Levels of basis sets, each level in canonical order.  The differential
+    from level i to level i - 1 is not stored: it is derived from the two
+    levels (see differentials), so it cannot disagree with them."""
 
     d: int
     vertices: VertexTable
     levels: tuple[tuple[frozenset[int], ...], ...]
-    differentials: tuple[tuple[StrandEntry, ...], ...]
 
     def __post_init__(self):
-        if len(self.differentials) != len(self.levels):
-            raise ValueError("one differential slot per level")
-        if self.differentials and self.differentials[0]:
-            raise ValueError("level 0 has no differential")
-        masks = [list(map(_mask, level)) for level in self.levels]
-        for i in range(1, len(self.differentials)):
-            sources, targets = masks[i], masks[i - 1]
-            ns, nt = len(sources), len(targets)
-            for e in self.differentials[i]:
-                col, row, v = e.col, e.row, e.vertex
-                if not (0 <= col < ns and 0 <= row < nt):
-                    raise ValueError(f"entry out of range at level {i}")
-                if e.sign not in (-1, 1):
-                    raise ValueError("signs must be +-1")
-                a = sources[col]
-                if not (isinstance(v, int) and v >= 0 and a >> v & 1) or a ^ 1 << v != targets[row]:
-                    raise ValueError(
-                        f"entry at level {i} does not drop a single vertex: "
-                        f"{self.vertices.label(self.levels[i][col])} -> {self.vertices.label(self.levels[i - 1][row])}"
-                    )
+        masks = tuple(tuple(map(_mask, level)) for level in self.levels)  # a negative vertex raises here
+        n = self.vertices.n
+        if any(a >> n for level in masks for a in level):
+            raise ValueError("basis-set vertex out of range")
+        object.__setattr__(self, "_masks", masks)
+
+    @cached_property
+    def differentials(self) -> tuple[tuple[StrandEntry, ...], ...]:
+        """For each level i >= 1, the entries of the differential from level
+        i to level i - 1, by column and then by ascending vertex.
+        differentials[0] is empty by convention (nothing below level 0)."""
+        m = self._masks
+        return tuple(
+            tuple(StrandEntry._make(e) for e in _signed_drops(m[i], m[i - 1])) if i else () for i in range(len(m))
+        )
 
     @property
     def n(self) -> int:
@@ -100,11 +98,7 @@ class StrandComplex:
         by their signs)."""
         if not 1 <= i < len(self.levels):
             raise ValueError(f"no differential at level {i}")
-        return Matrix.from_entries(
-            len(self.levels[i - 1]),
-            len(self.levels[i]),
-            ((e.row, e.col, e.sign) for e in self.differentials[i]),
-        )
+        return _boundary_matrix(self._masks[i], self._masks[i - 1])
 
     def skeleton_complex(self) -> ChainComplex:
         """All scalar matrices as a chain complex over the level index;
@@ -139,9 +133,9 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     through = [[e for e in complement if e >> v & 1] for v in range(c.n)]
     everything = (1 << c.n) - 1
     level = {a: _blocked(a, complement) for a in map(_mask, c.edges)}  # basis set -> blocked(set)
-    levels: list[tuple[int, ...]] = []
+    levels: list[tuple[frozenset[int], ...]] = []
     while level:
-        levels.append(tuple(sorted(level, key=_members)))
+        levels.append(tuple(map(frozenset, sorted(map(_members, level)))))
         grown: dict[int, int] = {}
         for a, blocked in level.items():
             free = everything & ~(a | blocked)
@@ -152,10 +146,7 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
                 if s not in grown:
                     grown[s] = _blocked(s, through[b.bit_length() - 1], blocked)
         level = grown
-    differentials: list[tuple[StrandEntry, ...]] = [()] if levels else []
-    for i in range(1, len(levels)):
-        differentials.append(tuple(StrandEntry(*e) for e in _signed_drops(levels[i], levels[i - 1])))
-    strand = StrandComplex(c.vertices.d, c.vertices, tuple(map(_frozen, levels)), tuple(differentials))
+    strand = StrandComplex(c.vertices.d, c.vertices, tuple(levels))
     strand.skeleton_complex()  # raises if the squares do not vanish
     return strand
 
@@ -239,18 +230,8 @@ def strand_homology_at(s: StrandComplex, b: frozenset[int], f: Field = QQ) -> di
     b = frozenset(b)
     if not all(0 <= v < s.n for v in b):
         raise ValueError("multidegree out of range")
-    kept: list[list[int]] = []
-    for level in s.levels:
-        kept.append([idx for idx, a in enumerate(level) if a <= b])
+    inside = _mask(b)
+    kept = [tuple(a for a in level if a & ~inside == 0) for level in s._masks]
     dims = {i: len(k) for i, k in enumerate(kept)}
-    boundaries = {}
-    for i in range(1, s.length()):
-        rows = {old: new for new, old in enumerate(kept[i - 1])}
-        cols = {old: new for new, old in enumerate(kept[i])}
-        entries = [
-            (rows[e.row], cols[e.col], e.sign)
-            for e in s.differentials[i]
-            if e.col in cols and e.row in rows
-        ]
-        boundaries[i] = Matrix.from_entries(len(kept[i - 1]), len(kept[i]), entries)
+    boundaries = {i: _boundary_matrix(kept[i], kept[i - 1]) for i in range(1, len(kept))}
     return homology_dims(ChainComplex(dims, boundaries), f)

@@ -25,6 +25,34 @@ def brute_independent_sets(n, edges):
     return {s for s in all_subsets(n) if not any(e <= s for e in edges)}
 
 
+def brute_strand_levels(c):
+    """The strand's basis by enumeration: level i is every vertex set with
+    i + d vertices that meets every part and contains no edge of the
+    d-partite complement, in ascending vertex-tuple order, up to the last
+    nonempty level."""
+    d = c.vertices.d
+    parts = c.part_sets()
+    basis = [
+        s for s in brute_independent_sets(c.n, d_partite_complement(c).edges) if all(s & part for part in parts)
+    ]
+    levels = [sorted((s for s in basis if len(s) == i + d), key=sorted) for i in range(c.n - d + 1)]
+    while levels and not levels[-1]:
+        levels.pop()
+    return tuple(tuple(level) for level in levels)
+
+
+def brute_signed_drops(sources, targets):
+    """Every (row, col, sign, v) with v in the source set at col, the source
+    minus v the target set at row, and sign (-1)**(the number of vertices of
+    the source below v), found by trying every vertex of every source."""
+    return {
+        (targets.index(a - {v}), col, (-1) ** sum(u < v for u in a), v)
+        for col, a in enumerate(sources)
+        for v in a
+        if a - {v} in targets
+    }
+
+
 def dense_rank(rows, p):
     """Rank of a dense integer matrix by plain Gaussian elimination, over
     Fractions when p = 0 (entries stay ints while the pivots are units) and

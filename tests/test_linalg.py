@@ -17,6 +17,10 @@ def test_field_validation():
         Field(4)
     with pytest.raises(ValueError):
         Field(-3)
+    # a characteristic that is not an int, even one equal to a prime or to 0
+    for p in (3.0, 2.0, 0.0, Fraction(3), True, False, "3", None):
+        with pytest.raises(ValueError):
+            Field(p)
 
 
 def test_matrix_validation():

@@ -1,9 +1,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linstrand import (
     QQ,
+    Matrix,
     SizeGuardError,
     StrandComplex,
     StrandEntry,
@@ -12,6 +15,7 @@ from linstrand import (
     gf,
     linear_strand_betti,
     edge_ideal,
+    random_clutter,
     strand_homology_at,
     strand_support_pair,
     verify_support,
@@ -19,6 +23,8 @@ from linstrand import (
 
 from helpers import (
     BUNDLED_FIXTURES,
+    brute_signed_drops,
+    brute_strand_levels,
     fourteen_of_sixteen_transversals,
     six_of_eight_transversals,
 )
@@ -73,29 +79,33 @@ def test_strand_matches_relative_pair_on_fixtures():
         assert report.ok, report.mismatches
 
 
+class _FlippedSign(StrandComplex):
+    """A strand whose level-1 skeleton has the sign of its fourth entry
+    flipped."""
+
+    def skeleton(self, i):
+        m = super().skeleton(i)
+        if i != 1:
+            return m
+        entries = list(m.entries)
+        r, cc, v = entries[3]
+        entries[3] = (r, cc, -v)
+        return Matrix(m.nrows, m.ncols, tuple(entries))
+
+
 def test_corrupted_sign_is_located():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
-    entries = list(s.differentials[1])
-    bad = entries[3]
-    entries[3] = StrandEntry(bad.row, bad.col, -bad.sign, bad.vertex)
-    corrupt = dataclasses.replace(s, differentials=(s.differentials[0], tuple(entries)))
-    report = verify_support(corrupt, strand_support_pair(c))
+    r, cc, _ = s.skeleton(1).entries[3]
+    report = verify_support(_FlippedSign(s.d, s.vertices, s.levels), strand_support_pair(c))
     assert not report.ok
-    assert any(f"({bad.row}, {bad.col})" in m for m in report.mismatches)
+    assert any(f"level 1: entry ({r}, {cc})" in m for m in report.mismatches)
 
 
 def test_missing_basis_set_is_reported():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
-    trimmed = dataclasses.replace(
-        s,
-        levels=(s.levels[0][:-1], s.levels[1]),
-        differentials=(
-            (),
-            tuple(e for e in s.differentials[1] if e.row < len(s.levels[0]) - 1),
-        ),
-    )
+    trimmed = dataclasses.replace(s, levels=(s.levels[0][:-1], s.levels[1]))
     report = verify_support(trimmed, strand_support_pair(c))
     assert not report.ok
     assert any("level 0" in m for m in report.mismatches)
@@ -134,53 +144,47 @@ def test_homology_probes_on_fourteen_transversals():
     assert strand_homology_at(s, full - {1}, QQ) == {0: 1, 1: 1, 2: 0, 3: 0}
 
 
-def test_strand_complex_validation():
-    s = first_linear_strand(complete_clutter([2, 2]))
-    with pytest.raises(ValueError):
-        dataclasses.replace(s, differentials=(s.differentials[0],))
-    bad0 = ((StrandEntry(0, 0, 1, 0),),) + s.differentials[1:]
-    with pytest.raises(ValueError):
-        dataclasses.replace(s, differentials=bad0)
-    e = s.differentials[1][0]
-    with pytest.raises(ValueError):
-        dataclasses.replace(
-            s,
-            differentials=(
-                (),
-                (StrandEntry(e.row, e.col, 2, e.vertex),) + s.differentials[1][1:],
-                s.differentials[2],
-            ),
-        )
-    # an entry whose target does not drop exactly the named vertex
-    with pytest.raises(ValueError):
-        dataclasses.replace(
-            s,
-            differentials=(
-                (),
-                (StrandEntry(e.row, e.col, e.sign, e.vertex + 1),) + s.differentials[1][1:],
-                s.differentials[2],
-            ),
-        )
-
-
 def test_vertex_guard_on_strand():
     with pytest.raises(SizeGuardError):
         first_linear_strand(complete_clutter([5, 5, 5, 5, 5, 5]))
 
 
-def test_strand_complex_rejects_a_vertex_outside_the_source():
+def test_strand_complex_rejects_a_basis_set_vertex_outside_the_table():
     t = complete_clutter([2, 2]).vertices
-    a02, a012 = frozenset({0, 2}), frozenset({0, 1, 2})
-    # the target is the source plus vertex 1, not the source minus it
-    with pytest.raises(ValueError, match="does not drop a single vertex"):
-        StrandComplex(2, t, ((a012,), (a02,)), ((), (StrandEntry(0, 0, 1, 1),)))
-    with pytest.raises(ValueError, match="does not drop a single vertex"):
-        StrandComplex(2, t, ((a02,), (a02,)), ((), (StrandEntry(0, 0, 1, 1),)))
-    # vertex 0 is in the source, but dropping it does not give the target
-    with pytest.raises(ValueError, match="does not drop a single vertex"):
-        StrandComplex(2, t, ((frozenset({0, 1}),), (a012,)), ((), (StrandEntry(0, 0, 1, 0),)))
-    # a vertex that is no vertex at all
-    with pytest.raises(ValueError, match="does not drop a single vertex"):
-        StrandComplex(2, t, ((a02,), (a012,)), ((), (StrandEntry(0, 0, 1, -1),)))
-    ok = StrandComplex(2, t, ((a02,), (a012,)), ((), (StrandEntry(0, 0, -1, 1),)))
+    a02 = frozenset({0, 2})
+    for bad in (frozenset({0, 4}), frozenset({-1, 2})):
+        with pytest.raises(ValueError):
+            StrandComplex(2, t, ((a02, bad),))
+    ok = StrandComplex(2, t, ((a02,), (frozenset({0, 1, 2}),)))
     assert ok.ranks() == (1, 1)
+    assert ok.differentials == ((), (StrandEntry(0, 0, -1, 1),))
+
+
+# random partitioned clutters with n <= 12, up to four parts
+STRAND_CLUTTERS = st.builds(
+    random_clutter,
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda sizes: sum(sizes) <= 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(STRAND_CLUTTERS)
+def test_levels_and_differentials_match_brute_force(c):
+    s = first_linear_strand(c)
+    assert s.levels == brute_strand_levels(c)
+    assert len(s.differentials) == s.length()
+    if s.length():
+        assert s.differentials[0] == ()
+    for i in range(1, s.length()):
+        sources, targets = s.levels[i], s.levels[i - 1]
+        for row, col, sign, v in s.differentials[i]:
+            a = sources[col]
+            assert v in a
+            assert a - {v} == targets[row]
+            assert sign == (-1) ** sorted(a).index(v)
+        # every drop that lands one level down has exactly one entry
+        entries = [tuple(e) for e in s.differentials[i]]
+        assert len(entries) == len(set(entries))
+        assert set(entries) == brute_signed_drops(sources, targets)
