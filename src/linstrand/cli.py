@@ -213,7 +213,10 @@ def _betti(c: Clutter, args) -> tuple[dict, list[str]]:
     triples = sorted((i, j, v) for (i, j), v in table.graded.items())
     lines = ["graded Betti numbers beta_{i,j}:"]
     lines += [f"  i={i} j={j}: {v}" for i, j, v in triples]
-    lines.append(f"linear: {'yes' if table.is_linear() else 'no'}")
+    linear = "yes" if table.is_linear() else "no"
+    if linear == "yes" and args.degree_cap is not None and args.degree_cap < c.n:
+        linear = f"unknown (degree cap {args.degree_cap} is below the {c.n} vertices)"
+    lines.append(f"linear: {linear}")
     return {"betti": [list(t) for t in triples], "min_degree": table.min_degree}, lines
 
 

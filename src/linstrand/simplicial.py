@@ -175,11 +175,14 @@ def chain_complex(x: SimplicialComplex, reduced: bool = False) -> ChainComplex:
 def relative_chain_complex(p: SimplicialPair) -> ChainComplex:
     """The chain complex of the pair: quotient bases, boundary terms into y
     dropped."""
-    faces = p._kept
-    if not faces:
-        return ChainComplex({}, {})
-    dims = {k: len(faces.get(k, ())) for k in range(min(faces), max(faces) + 1)}
-    boundaries = {k: _boundary_matrix(faces.get(k, ()), faces.get(k - 1, ())) for k in dims if k - 1 in dims}
+    return _graded_chain_complex(p._kept)
+
+
+def _graded_chain_complex(bases: dict[int, tuple[int, ...]]) -> ChainComplex:
+    """The chain complex with basis bases[k] (sorted masks) in each degree k
+    from the lowest key to the highest, and signed-drop boundaries."""
+    dims = {k: len(bases.get(k, ())) for k in range(min(bases, default=0), max(bases, default=-1) + 1)}
+    boundaries = {k: _boundary_matrix(bases.get(k, ()), bases.get(k - 1, ())) for k in dims if k - 1 in dims}
     return ChainComplex(dims, boundaries)
 
 
@@ -210,8 +213,8 @@ def strand_support_pair(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     complement-independent sets meeting every part.
 
     y really is a subcomplex of x (a set missing a part contains no
-    transversal, hence no edge of the complement); this is re-verified here
-    rather than assumed.  The vertex guard fires before the complement is
+    transversal, hence no edge of the complement); the pair re-verifies this
+    rather than assuming it.  The vertex guard fires before the complement is
     built, since listing every transversal is already exponential in d.
     """
     if c.vertices.parts is None:
@@ -219,7 +222,7 @@ def strand_support_pair(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     check_vertex_guard(c.n, max_vertices)
     x = independent_sets(d_partite_complement(c), max_vertices=max_vertices)
     y = part_deficient_complex(c.vertices)
-    for f in y.facets:
-        if not x.has_face(f):
-            raise ConsistencyError("part-deficient subcomplex escapes the independence complex")
-    return SimplicialPair(x, y)
+    try:
+        return SimplicialPair(x, y)
+    except ValueError as e:
+        raise ConsistencyError("part-deficient subcomplex escapes the independence complex") from e

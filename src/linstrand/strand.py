@@ -14,9 +14,9 @@ Level i corresponds to the (i+d-1)-dimensional faces of the relative pair of
 the independence complex of the complement modulo the part-deficient
 subcomplex, and the matrix of scalars above is exactly the relative boundary
 matrix; verify_support checks that correspondence entry by entry.
-A StrandComplex therefore stores only its levels: the differential, and each
-scalar skeleton, is derived from them by the signed-drop rule that also
-builds every relative boundary matrix (simplicial._signed_drops).
+A StrandComplex stores one sorted tuple of int bitmasks per level, as the
+pair stores its faces; levels and differentials are made on first read, and
+the pair's signed-drop rule and chain builder serve both (simplicial).
 
 The basis is grown from the edges: level 0 is the edges of c (a transversal
 is independent in the complement exactly when it is an edge of c), and level
@@ -25,7 +25,7 @@ through v lands inside.  Every basis set is reached: one with more than d
 vertices meets some part twice, and dropping one of those two vertices gives
 a basis set one level down.  The growth runs on int bitmasks, each set
 carrying the mask of the vertices it may not grow by (see
-first_linear_strand); levels become frozensets when they are handed out.
+first_linear_strand), and the levels are kept as masks.
 
 Evaluating x_v at a squarefree multidegree b (keep basis elements inside b,
 scalars as they are) gives the complex whose homology controls whether the
@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .clutters import Clutter, VertexTable, _mask, _members, d_partite_complement
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 from .linalg import ChainComplex, Field, Matrix, QQ, homology_dims
-from .simplicial import SimplicialPair, _boundary_matrix, _signed_drops, relative_chain_complex
+from .simplicial import SimplicialPair, _boundary_matrix, _graded_chain_complex, _signed_drops, relative_chain_complex
 
 __all__ = ["StrandEntry", "StrandComplex", "SupportReport", "first_linear_strand", "verify_support", "strand_homology_at"]
 
@@ -58,27 +58,29 @@ class StrandEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class StrandComplex:
-    """Levels of basis sets, each level in canonical order.  The differential
-    from level i to level i - 1 is not stored: it is derived from the two
-    levels (see differentials), so it cannot disagree with them."""
+    """Levels of basis-set masks, each level in canonical order.  The
+    frozenset levels and the differentials are derived from the masks when
+    first read, so they cannot disagree with them."""
 
     d: int
     vertices: VertexTable
-    levels: tuple[tuple[frozenset[int], ...], ...]
+    level_masks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        masks = tuple(tuple(map(_mask, level)) for level in self.levels)  # a negative vertex raises here
         n = self.vertices.n
-        if any(a >> n for level in masks for a in level):
-            raise ValueError("basis-set vertex out of range")
-        object.__setattr__(self, "_masks", masks)
+        if any(type(a) is not int or a < 0 or a >> n for level in self.level_masks for a in level):
+            raise ValueError("basis-set mask is not a set of vertices of the table")
+
+    @cached_property
+    def levels(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(tuple(frozenset(_members(a)) for a in level) for level in self.level_masks)
 
     @cached_property
     def differentials(self) -> tuple[tuple[StrandEntry, ...], ...]:
         """For each level i >= 1, the entries of the differential from level
         i to level i - 1, by column and then by ascending vertex.
         differentials[0] is empty by convention (nothing below level 0)."""
-        m = self._masks
+        m = self.level_masks
         return tuple(
             tuple(StrandEntry._make(e) for e in _signed_drops(m[i], m[i - 1])) if i else () for i in range(len(m))
         )
@@ -88,25 +90,23 @@ class StrandComplex:
         return self.vertices.n
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple(map(len, self.level_masks))
 
     def length(self) -> int:
-        return len(self.levels)
+        return len(self.level_masks)
 
     def skeleton(self, i: int) -> Matrix:
         """The scalar matrix of the level-i differential (monomials replaced
         by their signs)."""
-        if not 1 <= i < len(self.levels):
+        if not 1 <= i < self.length():
             raise ValueError(f"no differential at level {i}")
-        return _boundary_matrix(self._masks[i], self._masks[i - 1])
+        return _boundary_matrix(self.level_masks[i], self.level_masks[i - 1])
 
     def skeleton_complex(self) -> ChainComplex:
         """All scalar matrices as a chain complex over the level index;
         construction re-checks that consecutive differentials compose to
         zero."""
-        dims = {i: len(level) for i, level in enumerate(self.levels)}
-        boundaries = {i: self.skeleton(i) for i in range(1, len(self.levels))}
-        return ChainComplex(dims, boundaries)
+        return _graded_chain_complex(dict(enumerate(self.level_masks)))
 
 
 def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> StrandComplex:
@@ -133,9 +133,9 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     through = [[e for e in complement if e >> v & 1] for v in range(c.n)]
     everything = (1 << c.n) - 1
     level = {a: _blocked(a, complement) for a in map(_mask, c.edges)}  # basis set -> blocked(set)
-    levels: list[tuple[frozenset[int], ...]] = []
+    levels: list[tuple[int, ...]] = []
     while level:
-        levels.append(tuple(map(frozenset, sorted(map(_members, level)))))
+        levels.append(tuple(sorted(level, key=_members)))
         grown: dict[int, int] = {}
         for a, blocked in level.items():
             free = everything & ~(a | blocked)
@@ -180,11 +180,10 @@ def verify_support(s: StrandComplex, pair: SimplicialPair) -> SupportReport:
     problems: list[str] = []
     d = s.d
     rel = relative_chain_complex(pair)
-    top_pair = pair.x.dim
-    top_level = max(s.length() - 1, top_pair - d + 1)
+    top_level = max(s.length() - 1, pair.x.dim - d + 1)
     for i in range(0, top_level + 1):
-        basis = s.levels[i] if i < s.length() else ()
-        faces = pair.faces(i + d - 1)
+        basis = s.level_masks[i] if i < s.length() else ()
+        faces = pair._kept.get(i + d - 1, ())
         if basis != faces:
             problems.append(
                 f"level {i}: strand basis has {len(basis)} sets, pair has {len(faces)} "
@@ -193,7 +192,7 @@ def verify_support(s: StrandComplex, pair: SimplicialPair) -> SupportReport:
                 else f"level {i}: basis order or content differs from the pair faces"
             )
     for k in range(pair.x.dim + 1):
-        if k < d - 1 and pair.faces(k):
+        if k < d - 1 and k in pair._kept:
             problems.append(f"pair has faces of dimension {k} below the strand range")
     for i in range(1, s.length()):
         mine = s.skeleton(i)
@@ -205,11 +204,8 @@ def verify_support(s: StrandComplex, pair: SimplicialPair) -> SupportReport:
             )
             continue
         if mine != theirs:
-            a, b = dict(), dict()
-            for r, cc, v in mine.entries:
-                a[(r, cc)] = v
-            for r, cc, v in theirs.entries:
-                b[(r, cc)] = v
+            a = {(r, cc): v for r, cc, v in mine.entries}
+            b = {(r, cc): v for r, cc, v in theirs.entries}
             for key in sorted(a.keys() | b.keys()):
                 if a.get(key) != b.get(key):
                     problems.append(
@@ -231,7 +227,5 @@ def strand_homology_at(s: StrandComplex, b: frozenset[int], f: Field = QQ) -> di
     if not all(0 <= v < s.n for v in b):
         raise ValueError("multidegree out of range")
     inside = _mask(b)
-    kept = [tuple(a for a in level if a & ~inside == 0) for level in s._masks]
-    dims = {i: len(k) for i, k in enumerate(kept)}
-    boundaries = {i: _boundary_matrix(kept[i], kept[i - 1]) for i in range(1, len(kept))}
-    return homology_dims(ChainComplex(dims, boundaries), f)
+    kept = (tuple(a for a in level if a & ~inside == 0) for level in s.level_masks)
+    return homology_dims(_graded_chain_complex(dict(enumerate(kept))), f)

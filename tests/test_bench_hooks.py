@@ -1,12 +1,18 @@
 """The benchmark's tracer wraps library names it lists in bench/tracer.py;
 every listed name must still exist, or a traced run crashes on install.
-The lists are read from the source, so nothing under bench/ is imported."""
+The lists are read from the source, so nothing under bench/ is imported.
+Its hooks also read public attributes of what the wrapped calls return, so
+one short traced run is made in a child process as well."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _listed(name):
@@ -30,3 +36,13 @@ def test_every_wrapped_method_is_defined_on_its_class():
     for module, cls_name, method, _ in methods:
         cls = getattr(importlib.import_module(f"linstrand.{module}"), cls_name)
         assert method in vars(cls), f"{module}.{cls_name}.{method}"
+
+
+def test_a_short_traced_strand_pair_run_is_correct():
+    # about 3.5 s; the run also checks the seed-1 digests in bench/expected.json
+    argv = ["bench/run.py", "--workload", "strand-pair", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    last = json.loads(done.stdout.splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0

@@ -136,6 +136,35 @@ def test_betti_lists_the_diagonal(capsys):
     assert [0, 2, 9] in payload["betti"]
 
 
+def test_betti_under_a_degree_cap_claims_no_linearity(capsys):
+    # the full table of this n = 6 instance has beta_{2,6}, off the diagonal
+    six = path_of("six_of_eight_transversals.json")
+    assert run(capsys, "betti", six)[1].endswith("linear: no\n")
+    for cap in (2, 3, 4, 5):
+        code, out, _ = run(capsys, "betti", six, "--degree-cap", str(cap))
+        assert code == 0
+        assert out.endswith(f"linear: unknown (degree cap {cap} is below the 6 vertices)\n")
+        assert ("i=" in out) is (cap > 2)  # cap 2 lists no Betti number at all
+    assert run(capsys, "betti", six, "--degree-cap", "6")[1].endswith("linear: no\n")
+
+
+def test_betti_under_a_degree_cap_reports_an_entry_off_the_diagonal(capsys, tmp_path):
+    # two disjoint edges and a seventh vertex in no edge: beta_{1,6} is off
+    # the diagonal and inside a cap of 6 < n = 7
+    inst = {
+        "parts": [["a1", "a2", "a3"], ["b1", "b2"], ["c1", "c2"]],
+        "edges": [["a1", "b1", "c1"], ["a2", "b2", "c2"]],
+    }
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    code, out, _ = run(capsys, "betti", str(p), "--degree-cap", "6")
+    assert code == 0
+    assert "i=1 j=6: 1" in out
+    assert out.endswith("linear: no\n")
+    _, capped, _ = run(capsys, "betti", str(p), "--degree-cap", "6", "--format", "json")
+    assert set(json.loads(capped)) == {"betti", "min_degree"}
+
+
 def test_verify_passes_on_all_shipped_instances(capsys):
     for p in sorted(INSTANCES.glob("*.json")):
         code, out, _ = run(capsys, "verify", str(p))
@@ -175,6 +204,16 @@ def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", inst, "--format", "json")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_a_pair_whose_y_escapes_x_exits_1(capsys, monkeypatch):
+    from linstrand import SimplicialComplex, simplicial
+
+    # a void x cannot hold the part-deficient y
+    monkeypatch.setattr(simplicial, "independent_sets", lambda c, max_vertices: SimplicialComplex(c.vertices, ()))
+    code, _, err = run(capsys, "verify", path_of("six_of_eight_transversals.json"))
+    assert code == 1
+    assert "part-deficient subcomplex escapes the independence complex" in err
 
 
 def test_complement_output_is_reloadable(capsys, tmp_path):

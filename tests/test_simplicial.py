@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from linstrand import (
     Clutter,
-    ConsistencyError,
     QQ,
     SimplicialComplex,
     SimplicialPair,

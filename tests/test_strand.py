@@ -97,7 +97,7 @@ def test_corrupted_sign_is_located():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
     r, cc, _ = s.skeleton(1).entries[3]
-    report = verify_support(_FlippedSign(s.d, s.vertices, s.levels), strand_support_pair(c))
+    report = verify_support(_FlippedSign(s.d, s.vertices, s.level_masks), strand_support_pair(c))
     assert not report.ok
     assert any(f"level 1: entry ({r}, {cc})" in m for m in report.mismatches)
 
@@ -105,7 +105,7 @@ def test_corrupted_sign_is_located():
 def test_missing_basis_set_is_reported():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
-    trimmed = dataclasses.replace(s, levels=(s.levels[0][:-1], s.levels[1]))
+    trimmed = dataclasses.replace(s, level_masks=(s.level_masks[0][:-1], s.level_masks[1]))
     report = verify_support(trimmed, strand_support_pair(c))
     assert not report.ok
     assert any("level 0" in m for m in report.mismatches)
@@ -151,13 +151,27 @@ def test_vertex_guard_on_strand():
 
 def test_strand_complex_rejects_a_basis_set_vertex_outside_the_table():
     t = complete_clutter([2, 2]).vertices
-    a02 = frozenset({0, 2})
-    for bad in (frozenset({0, 4}), frozenset({-1, 2})):
+    a02 = 0b0101
+    for bad in (1 << 4, 0b10001, -1, frozenset({0, 2}), 5.0, None):
         with pytest.raises(ValueError):
             StrandComplex(2, t, ((a02, bad),))
-    ok = StrandComplex(2, t, ((a02,), (frozenset({0, 1, 2}),)))
+    ok = StrandComplex(2, t, ((a02,), (0b0111,)))
     assert ok.ranks() == (1, 1)
+    assert ok.levels == ((frozenset({0, 2}),), (frozenset({0, 1, 2}),))
     assert ok.differentials == ((), (StrandEntry(0, 0, -1, 1),))
+
+
+def test_strand_reads_never_make_the_frozenset_levels():
+    c = six_of_eight_transversals()
+    s = first_linear_strand(c)
+    s.ranks()
+    s.differentials
+    s.skeleton_complex()
+    strand_homology_at(s, frozenset(range(c.n)))
+    assert verify_support(s, strand_support_pair(c)).ok
+    assert "levels" not in vars(s)
+    assert s.levels[0][0] == frozenset(min(map(sorted, c.edges)))
+    assert "levels" in vars(s)
 
 
 # random partitioned clutters with n <= 12, up to four parts
