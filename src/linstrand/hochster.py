@@ -114,19 +114,24 @@ def _independent_masks(n: int, gen_masks: list[int]) -> list[list[int]]:
     return by_card
 
 
-def _mask_boundary(sources: list[int], targets: list[int], n: int) -> Matrix:
+def _mask_boundary(sources: list[int], targets: list[int]) -> Matrix:
+    """The signed boundary from the source faces (columns) to the target
+    faces (rows): dropping the t-th smallest vertex of a face, counting
+    from 0, has sign (-1)**t.  Only a face's set bits are walked, lowest
+    first."""
     index = {m: i for i, m in enumerate(targets)}
     entries = []
     for col, m in enumerate(sources):
-        t = 0
-        for v in range(n):
-            bit = 1 << v
-            if m & bit:
-                row = index.get(m ^ bit)
-                if row is not None:
-                    entries.append((row, col, -1 if t % 2 else 1))
-                t += 1
-    return Matrix.from_entries(len(targets), len(sources), entries)
+        rest = m
+        sign = 1
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            row = index.get(m ^ bit)
+            if row is not None:
+                entries.append((row, col, sign))
+            sign = -sign
+    return Matrix(len(targets), len(sources), tuple(entries))
 
 
 def _lcm_closed(sigma: int, gen_masks: list[int]) -> bool:
@@ -150,7 +155,7 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     _mask_boundary drops the faces of the star, which are zero in the
     quotient.  At sigma = {} there is no v and every face is a chain.  Each
     cardinality is filtered, and each rank computed, at most once."""
-    n, _, by_card, independent = prepared
+    by_card, independent = prepared[2:]
     size = sigma.bit_count()
     apex = sigma & -sigma
     faces: dict[int, list[int]] = {}
@@ -169,7 +174,7 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     def del_rank(c: int) -> int:
         # rank of the boundary from cardinality c to cardinality c - 1
         if c not in ranks:
-            ranks[c] = rank(_mask_boundary(chains(c), chains(c - 1), n), f) if chains(c) and chains(c - 1) else 0
+            ranks[c] = rank(_mask_boundary(chains(c), chains(c - 1)), f) if chains(c) and chains(c - 1) else 0
         return ranks[c]
 
     out = []

@@ -15,7 +15,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .clutters import Clutter, VertexTable, _canonical_family, d_partite_complement, minimal_sets, minimal_vertex_covers
+from .clutters import (
+    Clutter,
+    VertexTable,
+    _canonical_family,
+    _frozen,
+    _mask,
+    d_partite_complement,
+    minimal_vertex_covers,
+)
 from .errors import ConsistencyError
 
 __all__ = [
@@ -202,18 +210,38 @@ def squarefree_colon(
     """Minimal squarefree multidegrees of the colon (a : K), where a is
     generated by the products of the parts and K by the dual generators.
 
-    Membership by brute force: the monomial of support S multiplies every
-    generator of support D into a iff some part is contained in S union D.
-    Exponential in n; meant for checks and tests, so keep n small.
+    Membership by brute force over all 2^n supports, on int masks: the
+    monomial of support S multiplies every generator of support D into a iff
+    some part is contained in S union D, that is, iff S contains what the
+    part has outside D.  Exponential in n; meant for checks and tests, so
+    keep n small.  Membership only grows with S, so a member is minimal
+    exactly when dropping any one of its vertices leaves the colon.
     """
-    parts = tuple(frozenset(p) for p in parts)
-    duals = tuple(frozenset(g) for g in dual_generators)
-    members = []
-    for bits in range(1 << n):
-        s = frozenset(v for v in range(n) if bits >> v & 1)
-        if all(any(p <= (s | g) for p in parts) for g in duals):
-            members.append(s)
-    return minimal_sets(members)
+    part_masks = tuple(_mask(p) for p in parts)
+    # per dual generator D, each part less D
+    needs = tuple(tuple(p & ~_mask(g) for p in part_masks) for g in dual_generators)
+    member = bytearray(1 << n)
+    for s in range(1 << n):
+        for need in needs:
+            for q in need:
+                if q & s == q:
+                    break
+            else:
+                break  # no part fits this generator
+        else:
+            member[s] = 1
+    minimal = []
+    for s in range(1 << n):
+        if member[s]:
+            rest = s
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if member[s ^ b]:
+                    break
+            else:
+                minimal.append(s)
+    return _frozen(minimal)
 
 
 def find_admissible_sequence(i: SquarefreeIdeal, max_vertices: int = 12) -> AdmissibleSequence | None:

@@ -20,7 +20,10 @@ Validating a matrix normalises its entries, rejecting a value or an index
 that is not integral, sorts them (a linear pass when they already come
 sorted) and checks each against the one before it.  Matrix.compose and the
 square-zero check of a chain complex share one row-by-row product, and the
-check stops at the first row of the product that is not zero.
+check stops at the first row of the product that is not zero.  Homology
+ranks a complex's boundaries from the top degree down and leaves out of each
+boundary the columns the one above it pivoted on (clearing; see
+homology_dims).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import ConsistencyError
 
@@ -120,12 +124,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.ncols, self.nrows, tuple((c, r, v) for r, c, v in self.entries))
 
-    def rows(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
-
     def compose(self, other: "Matrix") -> "Matrix":
         """self @ other, exactly, over the integers."""
         if self.ncols != other.nrows:
@@ -137,9 +135,12 @@ class Matrix:
         return not self.entries
 
 
-def _eliminate(rows: list[dict[int, int]], p: int) -> int:
+def _eliminate(rows: list[dict[int, int]], p: int, pivot_rows: set[int] | None = None) -> int:
     """Rank of the rows (col -> nonzero value, already reduced mod p when
-    p > 0) by sparse elimination; the rows are consumed.
+    p > 0) by sparse elimination; the rows are consumed.  The index of every
+    row taken as a pivot goes into pivot_rows when it is given: those rows
+    are linearly independent and span the row space, the rows that are not
+    taken having been reduced to zero by them.
 
     Each column keeps the set of active rows that have an entry in it, updated
     as rows change, so a pivot reaches exactly the rows it clears.  The pivot
@@ -170,6 +171,8 @@ def _eliminate(rows: list[dict[int, int]], p: int) -> int:
         if piv is None or len(piv) != n:
             continue
         del active[i]
+        if pivot_rows is not None:
+            pivot_rows.add(i)
         pc = min(piv, key=lambda c: (len(support[c]), piv[c] not in (1, p - 1), c))
         pv = piv.pop(pc)
         hits = support.pop(pc)
@@ -220,10 +223,20 @@ def _eliminate(rows: list[dict[int, int]], p: int) -> int:
 def rank(m: Matrix, field: Field = QQ) -> int:
     """Rank of m over the field.  Exact in both characteristics."""
     p = field.characteristic
-    rows = m.rows()
-    if p:
-        rows = [{c: w for c, v in r.items() if (w := v % p)} for r in rows]
-    return _eliminate(rows, p)
+    return _eliminate(_field_rows(m, p), p)
+
+
+def _field_rows(m: Matrix, p: int, skip=()) -> list[dict[int, int]]:
+    """The rows of m as col -> value over the field of characteristic p,
+    values reduced mod p when p > 0, zeros and the columns in skip left
+    out."""
+    rows: list[dict[int, int]] = [{} for _ in range(m.nrows)]
+    for r, c, v in m.entries:
+        if p:
+            v %= p
+        if v and c not in skip:
+            rows[r][c] = v
+    return rows
 
 
 class ChainComplex:
@@ -234,12 +247,13 @@ class ChainComplex:
     a degree k to the matrix of its boundary (shape dims[k-1] x dims[k]).
     Degrees absent from dims are zero, and a missing boundary is the zero map.
     Composition of consecutive boundaries is verified to vanish at
-    construction time.
+    construction time.  Both are read-only mappings, and neither can be
+    rebound, so a complex keeps the square-zero property it was checked for.
     """
 
     def __init__(self, dims: dict[int, int], boundaries: dict[int, Matrix]):
-        self.dims = dict(dims)
-        self.boundaries = dict(boundaries)
+        self._dims = MappingProxyType(dict(dims))
+        self._boundaries = MappingProxyType(dict(boundaries))
         for k, size in self.dims.items():
             if size < 0:
                 raise ValueError("negative dimension")
@@ -252,6 +266,14 @@ class ChainComplex:
             if k + 1 in self.boundaries:
                 if not _composes_to_zero(self.boundaries[k], self.boundaries[k + 1]):
                     raise ConsistencyError(f"boundaries at degrees {k + 1} and {k} do not compose to zero")
+
+    @property
+    def dims(self) -> Mapping[int, int]:
+        return self._dims
+
+    @property
+    def boundaries(self) -> Mapping[int, Matrix]:
+        return self._boundaries
 
     def degrees(self) -> list[int]:
         return sorted(self.dims)
@@ -294,14 +316,35 @@ def homology_dims(c: ChainComplex, field: Field = QQ) -> dict[int, int]:
     """dim H_k for every degree k present in c, over the field.
 
     Over a field the k-th homology dimension is
-    dims[k] - rank(boundary k) - rank(boundary k+1); a negative value would
-    mean the boundaries do not compose to zero and raises.
+    dims[k] - rank(boundary k) - rank(boundary k+1).
+
+    The boundaries are ranked from the highest degree down, with clearing
+    (Chen & Kerber, "Persistent homology computation with a twist", 2011):
+    the rows the elimination of boundary k+1 pivots on are basis elements of
+    C_k, and their columns are left out of boundary k before it is ranked.
+    That loses no rank over any field.  The pivot rows P are independent
+    rows spanning the row space, so projecting onto the coordinates P maps
+    im(boundary k+1) isomorphically onto them; each e_i with i in P is
+    therefore some b in that image plus a combination of basis elements
+    outside P, and since boundary k kills b (the complex was checked to
+    square to zero when it was built, and cannot change since), the column
+    of e_i is a combination of the columns kept.  The cleared sets are keyed
+    by degree, so a missing boundary clears nothing below it.
+
+    A negative value would mean the boundaries do not compose to zero and
+    raises.  The guard stays, but it can no longer fire: every ChainComplex
+    squares to zero, and that makes rank(boundary k+1) at most
+    dims[k] - rank(boundary k).
     """
+    p = field.characteristic
     ranks: dict[int, int] = {}
-    for k in c.dims:
-        m = c.boundaries.get(k)
-        if m is not None and m.entries:
-            ranks[k] = rank(m, field)
+    cleared: dict[int, set[int]] = {}
+    for k in sorted(c.boundaries, reverse=True):
+        m = c.boundaries[k]
+        if m.entries:
+            pivots: set[int] = set()
+            ranks[k] = _eliminate(_field_rows(m, p, cleared.get(k, ())), p, pivots)
+            cleared[k - 1] = pivots
     out: dict[int, int] = {}
     for k in c.dims:
         h = c.dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -146,18 +146,24 @@ def _signed_drops(sources: tuple[int, ...], targets: tuple[int, ...]):
     """The signed-drop rule on masks: for each source set (a column) and each
     vertex v of it whose removal lands on a target set (a row), yield
     (row, col, (-1)**t, v), v being the t-th smallest vertex of the source
-    counting from 0.  Columns come in order, vertices ascending."""
+    counting from 0.  Columns come in order, vertices ascending: each
+    source's set bits are taken lowest first, the sign flipping at each."""
     index = {t: i for i, t in enumerate(targets)}
     for col, f in enumerate(sources):
-        for t, v in enumerate(_members(f)):
-            row = index.get(f ^ (1 << v))
+        rest = f
+        sign = 1
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            row = index.get(f ^ b)
             if row is not None:
-                yield row, col, -1 if t % 2 else 1, v
+                yield row, col, sign, b.bit_length() - 1
+            sign = -sign
 
 
 def _boundary_matrix(sources: tuple[int, ...], targets: tuple[int, ...]) -> Matrix:
-    entries = ((row, col, sign) for row, col, sign, _ in _signed_drops(sources, targets))
-    return Matrix.from_entries(len(targets), len(sources), entries)
+    entries = tuple((row, col, sign) for row, col, sign, _ in _signed_drops(sources, targets))
+    return Matrix(len(targets), len(sources), entries)
 
 
 def chain_complex(x: SimplicialComplex, reduced: bool = False) -> ChainComplex:

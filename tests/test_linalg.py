@@ -5,7 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linstrand import GF2, QQ, ChainComplex, ConsistencyError, Field, Matrix, gf, homology_dims, rank
+from linstrand import (
+    GF2,
+    QQ,
+    ChainComplex,
+    ConsistencyError,
+    Field,
+    Matrix,
+    SimplicialComplex,
+    VertexTable,
+    chain_complex,
+    first_linear_strand,
+    gf,
+    homology_dims,
+    random_clutter,
+    rank,
+    relative_chain_complex,
+    strand_homology_at,
+    strand_support_pair,
+)
 
 from helpers import dense_rank
 
@@ -242,3 +260,89 @@ def test_chain_complex_accepts_cancelling_products():
     assert a.compose(b).is_zero()
     c = ChainComplex({0: 2, 1: 2, 2: 3}, {1: a, 2: b})
     assert homology_dims(c, QQ) == {0: 1, 1: 0, 2: 2}
+
+
+def test_chain_complex_mappings_are_read_only():
+    d = Matrix.from_entries(1, 2, [(0, 0, 1), (0, 1, -1)])
+    c = ChainComplex({0: 1, 1: 2}, {1: d})
+    with pytest.raises(TypeError):
+        c.dims[1] = 3
+    with pytest.raises(TypeError):
+        c.boundaries[1] = Matrix.zero(1, 2)
+    with pytest.raises(TypeError):
+        del c.boundaries[1]
+    with pytest.raises(AttributeError):
+        c.boundaries = {}
+    assert c.dims == {0: 1, 1: 2} and c.boundaries == {1: d}
+
+
+FIELDS = (QQ, GF2, gf(3))
+
+
+def plain_homology(c: ChainComplex, f: Field) -> dict[int, int]:
+    """dims[k] - rank(boundary k) - rank(boundary k+1), each boundary ranked
+    in full by rank, with no clearing."""
+    ranks = {k: rank(m, f) for k, m in c.boundaries.items()}
+    return {k: size - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, size in c.dims.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.frozensets(st.integers(0, n - 1)), max_size=6))
+    ),
+    st.booleans(),
+    st.sampled_from(FIELDS),
+)
+def test_cleared_homology_equals_plain_ranks_on_random_complexes(case, reduced, f):
+    n, sets = case
+    facets = tuple({s for s in sets if not any(s < t for t in sets)})
+    x = SimplicialComplex(VertexTable(tuple(f"v{i}" for i in range(n))), facets)
+    c = chain_complex(x, reduced=reduced)
+    assert homology_dims(c, f) == plain_homology(c, f)
+
+
+CLUTTERS = st.tuples(
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda sizes: sum(sizes) <= 10),
+    st.floats(0.0, 1.0),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLUTTERS, st.sampled_from(FIELDS))
+def test_cleared_homology_equals_plain_ranks_on_strand_support_pairs(case, f):
+    c = relative_chain_complex(strand_support_pair(random_clutter(*case)))
+    assert homology_dims(c, f) == plain_homology(c, f)
+
+
+def strand_complex_at(s, b: frozenset[int]) -> ChainComplex:
+    """The strand at the multidegree b, cut out of its skeletons: the rows
+    and columns of the basis sets inside b, renumbered in order."""
+    keep = [[j for j, a in enumerate(level) if a <= b] for level in s.levels]
+    boundaries = {}
+    for i in range(1, s.length()):
+        rows = {j: r for r, j in enumerate(keep[i - 1])}
+        cols = {j: col for col, j in enumerate(keep[i])}
+        entries = [(rows[r], cols[col], v) for r, col, v in s.skeleton(i).entries if r in rows and col in cols]
+        boundaries[i] = Matrix.from_entries(len(rows), len(cols), entries)
+    return ChainComplex({i: len(k) for i, k in enumerate(keep)}, boundaries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLUTTERS, st.integers(0, 2**10 - 1), st.sampled_from(FIELDS))
+def test_cleared_homology_equals_plain_ranks_on_the_strand_at_a_multidegree(case, bits, f):
+    c = random_clutter(*case)
+    s = first_linear_strand(c)
+    b = frozenset(v for v in range(c.n) if bits >> v & 1)
+    assert strand_homology_at(s, b, f) == plain_homology(strand_complex_at(s, b), f)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_clearing_skips_a_gap_in_the_degrees(f):
+    # degree 2 is missing, so boundary 3 is the zero map: boundary 4 pivots
+    # on row 0 of C_3, and that must not clear column 0 of boundary 1
+    d1 = Matrix.from_entries(1, 2, [(0, 0, 1)])
+    d4 = Matrix.from_entries(2, 1, [(0, 0, 1)])
+    c = ChainComplex({0: 1, 1: 2, 3: 2, 4: 1}, {1: d1, 4: d4})
+    assert homology_dims(c, f) == plain_homology(c, f) == {0: 0, 1: 1, 3: 1, 4: 0}
