@@ -124,8 +124,10 @@ def run_verification(c: Clutter, f: Field = QQ, max_vertices: int = DEFAULT_MAX_
     strand = None
     try:
         strand = first_linear_strand(c, max_vertices=max_vertices)
+        strand.skeleton_complex()  # the generic product check, beside the strand's own
         checks.append(Check("differentials-compose-to-zero", True))
     except ConsistencyError as e:
+        strand = None
         checks.append(Check("differentials-compose-to-zero", False, str(e)))
 
     if strand is not None:
@@ -174,7 +176,7 @@ def run_verification(c: Clutter, f: Field = QQ, max_vertices: int = DEFAULT_MAX_
     else:
         checks.append(Check("linkage-matches-colon", None, f"n = {c.n} > 12"))
 
-    checks.append(Check("complement-linearity-agreement", complement_linearity_agrees(c)))
+    checks.append(Check("complement-linearity-agreement", complement_linearity_agrees(c, max_vertices)))
     return checks
 
 
@@ -248,7 +250,7 @@ def _lyubeznik(c: Clutter, args) -> tuple[dict, list[str]]:
 
 
 def _linear(c: Clutter, args) -> tuple[dict, list[str]]:
-    verdict = is_linear(c)
+    verdict = is_linear(c, max_vertices=args.max_vertices)
     cert = None
     lines = [f"linear: {'yes' if verdict.linear else 'no'}"]
     if verdict.certificate is not None:

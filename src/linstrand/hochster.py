@@ -235,7 +235,10 @@ def betti_table(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> BettiTable:
     """All nonzero beta_{i,sigma} with |sigma| at most degree_cap (all of
-    them when the cap is None), over the field f."""
+    them when the cap is None), over the field f.  A negative cap raises
+    ValueError."""
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     prepared = _prepare(i, max_vertices)
     n = prepared[0]
     cap = n if degree_cap is None else degree_cap

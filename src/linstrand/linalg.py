@@ -23,7 +23,10 @@ square-zero check of a chain complex share one row-by-row product, and the
 check stops at the first row of the product that is not zero.  Homology
 ranks a complex's boundaries from the top degree down and leaves out of each
 boundary the columns the one above it pivoted on (clearing; see
-homology_dims).
+homology_dims).  That loop is written once, in _clearing_homology, which
+takes its boundary rows from a callback: homology_dims hands it a
+ChainComplex's matrices, and simplicial hands it rows made straight from the
+masks of a complex it has checked itself.
 """
 
 from __future__ import annotations
@@ -337,17 +340,34 @@ def homology_dims(c: ChainComplex, field: Field = QQ) -> dict[int, int]:
     dims[k] - rank(boundary k).
     """
     p = field.characteristic
+
+    def rows(k: int, skip) -> list[dict[int, int]]:
+        m = c.boundaries.get(k)
+        return _field_rows(m, p, skip) if m is not None else []
+
+    return _clearing_homology(c.dims, rows, p)
+
+
+def _clearing_homology(dims: Mapping[int, int], rows, p: int) -> dict[int, int]:
+    """dim H_k for every degree k in dims, in the order of dims, over the
+    field of characteristic p; rows(k, skip) gives the rows of boundary k
+    over that field (values reduced mod p when p > 0), with the columns in
+    skip left out, and [] when there is no boundary at k.
+
+    The boundaries are ranked from the highest degree down, and each one
+    leaves out the columns the one above it pivoted on (clearing; see
+    homology_dims, which holds the argument).  The caller vouches that the
+    boundaries compose to zero: clearing is exact only then.
+    """
     ranks: dict[int, int] = {}
     cleared: dict[int, set[int]] = {}
-    for k in sorted(c.boundaries, reverse=True):
-        m = c.boundaries[k]
-        if m.entries:
-            pivots: set[int] = set()
-            ranks[k] = _eliminate(_field_rows(m, p, cleared.get(k, ())), p, pivots)
-            cleared[k - 1] = pivots
+    for k in sorted(dims, reverse=True):
+        pivots: set[int] = set()
+        ranks[k] = _eliminate(rows(k, cleared.get(k, ())), p, pivots)
+        cleared[k - 1] = pivots
     out: dict[int, int] = {}
-    for k in c.dims:
-        h = c.dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
+    for k, size in dims.items():
+        h = size - ranks[k] - ranks.get(k + 1, 0)
         if h < 0:
             raise ConsistencyError(f"negative homology dimension at degree {k}")
         out[k] = h

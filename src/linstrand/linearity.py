@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .clutters import Clutter, d_partite_complement, ranked_projection, restrict
+from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 
 __all__ = ["ProjectionCertificate", "LinearityVerdict", "is_linear", "complement_linearity_agrees"]
 
@@ -52,20 +53,22 @@ def _two_disjoint_edges(c: Clutter) -> bool:
     return len(c.edges) == 2 and not (c.edges[0] & c.edges[1])
 
 
-def is_linear(c: Clutter) -> LinearityVerdict:
+def is_linear(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> LinearityVerdict:
     """Scan transversal pairs, part subsets, and both sides in a fixed order
     (pairs of transversals lexicographically, then |J| ascending, then J
     lexicographically, the restricted clutter before its complement) and
     report the first scattered pair found, if any.
 
     An edgeless clutter is linear by convention (there is no pair of edges to
-    scatter, and no resolution to compare against).
+    scatter, and no resolution to compare against).  The vertex guard fires
+    before the transversals are listed.
     """
     if c.vertices.parts is None:
         raise ValueError("linearity test needs a partitioned clutter")
     d = c.vertices.d
     if d == 1:
         return LinearityVerdict(True)
+    check_vertex_guard(c.n, max_vertices)
     transversals = c.complete_edges()
     for e, e2 in itertools.combinations(transversals, 2):
         w = e | e2
@@ -79,7 +82,7 @@ def is_linear(c: Clutter) -> LinearityVerdict:
     return LinearityVerdict(True)
 
 
-def complement_linearity_agrees(c: Clutter) -> bool:
+def complement_linearity_agrees(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
     """The verdicts of c and of its d-partite complement coincide (the scan
     is symmetric in the two sides up to swapping them)."""
-    return is_linear(c).linear == is_linear(d_partite_complement(c)).linear
+    return is_linear(c, max_vertices).linear == is_linear(d_partite_complement(c), max_vertices).linear

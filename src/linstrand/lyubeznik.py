@@ -10,10 +10,11 @@ nontrivial column, the last one, and its entry in row p is
 
 Over a field, cohomology and homology of the pair have equal dimensions
 (rank of a matrix equals rank of its transpose), so the dimensions are read
-off the relative chain complex directly.  For p strictly below n - d the same
-number equals the multigraded Betti number beta_{p-1, full multidegree} of
-the edge ideal of the complement, which cross_check_betti verifies against
-the Hochster oracle.
+off the relative chain complex directly, ranked on the pair's face masks
+(simplicial._mask_homology) without building its matrices.  For p strictly
+below n - d the same number equals the multigraded Betti number
+beta_{p-1, full multidegree} of the edge ideal of the complement, which
+cross_check_betti verifies against the Hochster oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .clutters import Clutter
 from .errors import DEFAULT_MAX_VERTICES
 from .hochster import _betti_degrees
 from .ideals import linkage_ideal
-from .linalg import Field, QQ, homology_dims
-from .simplicial import relative_chain_complex, strand_support_pair
+from .linalg import Field, QQ
+from .simplicial import _mask_homology, strand_support_pair
 
 __all__ = ["LyubeznikColumn", "CrossCheckReport", "lyubeznik_last_column", "cross_check_betti"]
 
@@ -57,7 +58,7 @@ def lyubeznik_last_column(
 ) -> LyubeznikColumn:
     """The last Lyubeznik column of the quotient by the cover ideal of c."""
     pair = strand_support_pair(c, max_vertices=max_vertices)
-    h = homology_dims(relative_chain_complex(pair), f)
+    h = _mask_homology(pair._kept, f)
     n, d = c.n, c.vertices.d
     return LyubeznikColumn(n, d, tuple(h.get(n - p - 1, 0) for p in range(n - d + 1)))
 

@@ -17,6 +17,14 @@ facets of X once and stops at the first face inside a facet of Y: Y is
 closed downward, so nothing below that face is a pair face, and neither
 complex lists its own faces.  When Y is void this is the reduced chain
 complex of X, so reduced and relative homology share one code path.
+
+The strand and the pair are both signed-drop complexes on a family of sets,
+one sorted mask tuple per degree, and those are checked and ranked on the
+masks themselves: _squares_vanish proves the boundaries compose to zero by
+the two paths each entry of the square has, and _mask_homology ranks rows
+made by _signed_drops.  Matrices and a ChainComplex, whose construction
+runs the generic product check, are made only when one is asked for
+(chain_complex, relative_chain_complex, StrandComplex.skeleton_complex).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .clutters import (
     independent_sets,
 )
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
-from .linalg import ChainComplex, Matrix
+from .linalg import ChainComplex, Field, Matrix, _clearing_homology
 
 __all__ = [
     "SimplicialComplex",
@@ -187,9 +195,76 @@ def relative_chain_complex(p: SimplicialPair) -> ChainComplex:
 def _graded_chain_complex(bases: dict[int, tuple[int, ...]]) -> ChainComplex:
     """The chain complex with basis bases[k] (sorted masks) in each degree k
     from the lowest key to the highest, and signed-drop boundaries."""
-    dims = {k: len(bases.get(k, ())) for k in range(min(bases, default=0), max(bases, default=-1) + 1)}
+    dims = _graded_dims(bases)
     boundaries = {k: _boundary_matrix(bases.get(k, ()), bases.get(k - 1, ())) for k in dims if k - 1 in dims}
     return ChainComplex(dims, boundaries)
+
+
+def _graded_dims(bases: dict[int, tuple[int, ...]]) -> dict[int, int]:
+    """The size of every degree from the lowest key of bases to the highest,
+    gaps included as zeros."""
+    return {k: len(bases.get(k, ())) for k in range(min(bases, default=0), max(bases, default=-1) + 1)}
+
+
+def _squares_vanish(bases: dict[int, tuple[int, ...]]) -> None:
+    """Raise ConsistencyError unless the signed-drop boundaries of the
+    graded basis compose to zero, checked on the masks.
+
+    An entry of boundary k-1 after boundary k joins a set A in degree k to
+    A - v - w for two of its vertices v < w, at positions t_v < t_w in A,
+    along exactly two paths: through A - v, with sign (-1)**(t_v + t_w - 1),
+    and through A - w, with sign (-1)**(t_v + t_w).  The entry vanishes
+    exactly when both middle sets are in degree k - 1 or neither is.  So,
+    calling v kept when A - v is in degree k - 1 and missing otherwise, the
+    squares vanish exactly when no A has a kept v and a missing w with
+    A - v - w in degree k - 2.  The lowest failing degree is reported, as
+    ChainComplex's product check reports it."""
+    sets = {k: set(masks) for k, masks in bases.items()}
+    for k in sorted(bases):
+        below, middle = sets.get(k - 2), sets.get(k - 1, ())
+        if not below:
+            continue
+        for a in bases[k]:
+            kept = missing = 0
+            rest = a
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if a ^ b in middle:
+                    kept |= b
+                else:
+                    missing |= b
+            while kept and missing:
+                v = kept & -kept
+                kept ^= v
+                rest = missing
+                while rest:
+                    w = rest & -rest
+                    rest ^= w
+                    if a ^ v ^ w in below:
+                        raise ConsistencyError(f"boundaries at degrees {k} and {k - 1} do not compose to zero")
+
+
+def _mask_homology(bases: dict[int, tuple[int, ...]], f: Field) -> dict[int, int]:
+    """homology_dims(_graded_chain_complex(bases), f), worked out on the
+    masks: the squares are checked by _squares_vanish, and each boundary's
+    rows come straight from _signed_drops, without building a Matrix."""
+    _squares_vanish(bases)
+    p = f.characteristic
+    dims = _graded_dims(bases)
+
+    def rows(k: int, skip) -> list[dict[int, int]]:
+        if k - 1 not in dims:
+            return []
+        sources = bases.get(k, ())
+        if skip:
+            sources = tuple(a for col, a in enumerate(sources) if col not in skip)
+        out: list[dict[int, int]] = [{} for _ in range(dims[k - 1])]
+        for row, col, sign, _ in _signed_drops(sources, bases.get(k - 1, ())):
+            out[row][col] = sign % p if p else sign
+        return out
+
+    return _clearing_homology(dims, rows, p)
 
 
 def f_vector(p: SimplicialPair) -> tuple[int, ...]:

@@ -17,6 +17,8 @@ matrix; verify_support checks that correspondence entry by entry.
 A StrandComplex stores one sorted tuple of int bitmasks per level, as the
 pair stores its faces; levels and differentials are made on first read, and
 the pair's signed-drop rule and chain builder serve both (simplicial).
+first_linear_strand checks its squares, and strand_homology_at ranks, on
+the masks, without building matrices.
 
 The basis is grown from the edges: level 0 is the edges of c (a transversal
 is independent in the complement exactly when it is an edge of c), and level
@@ -40,8 +42,16 @@ from typing import NamedTuple
 
 from .clutters import Clutter, VertexTable, _mask, _members, d_partite_complement
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
-from .linalg import ChainComplex, Field, Matrix, QQ, homology_dims
-from .simplicial import SimplicialPair, _boundary_matrix, _graded_chain_complex, _signed_drops, relative_chain_complex
+from .linalg import ChainComplex, Field, Matrix, QQ
+from .simplicial import (
+    SimplicialPair,
+    _boundary_matrix,
+    _graded_chain_complex,
+    _mask_homology,
+    _signed_drops,
+    _squares_vanish,
+    relative_chain_complex,
+)
 
 __all__ = ["StrandEntry", "StrandComplex", "SupportReport", "first_linear_strand", "verify_support", "strand_homology_at"]
 
@@ -117,7 +127,8 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     empty level.  Every basis set is reached: one with more than d vertices
     meets a part twice, and dropping either of those two vertices leaves a
     basis set one level down.  Levels are in ascending vertex-tuple order.
-    Validates its own differential by composing consecutive skeletons.
+    Validates its own differential on the level masks: every entry of
+    d o d has exactly two paths, of opposite signs (simplicial._squares_vanish).
 
     On masks, each set a carries blocked(a): the vertices v outside a with
     some complement edge e through v and e - {v} inside a.  Then a | {v}
@@ -147,7 +158,7 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
                     grown[s] = _blocked(s, through[b.bit_length() - 1], blocked)
         level = grown
     strand = StrandComplex(c.vertices.d, c.vertices, tuple(levels))
-    strand.skeleton_complex()  # raises if the squares do not vanish
+    _squares_vanish(dict(enumerate(strand.level_masks)))
     return strand
 
 
@@ -228,4 +239,4 @@ def strand_homology_at(s: StrandComplex, b: frozenset[int], f: Field = QQ) -> di
         raise ValueError("multidegree out of range")
     inside = _mask(b)
     kept = (tuple(a for a in level if a & ~inside == 0) for level in s.level_masks)
-    return homology_dims(_graded_chain_complex(dict(enumerate(kept))), f)
+    return _mask_homology(dict(enumerate(kept)), f)

@@ -382,3 +382,33 @@ def test_any_json_value_loads_or_is_a_parse_error(data):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+def test_linear_honours_the_vertex_guard(capsys):
+    code, out, err = run(capsys, "linear", path_of("nine_edge_bipartite.json"), "--max-vertices", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 8 vertices exceeds the guard of 3")
+
+
+def test_betti_rejects_a_negative_degree_cap(capsys):
+    code, out, err = run(capsys, "betti", path_of("nine_edge_bipartite.json"), "--degree-cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree cap must be nonnegative, got -1\n"
+
+
+def test_verify_runs_the_generic_product_check(capsys, monkeypatch):
+    from linstrand import ConsistencyError, StrandComplex
+
+    seen = []
+
+    def failing(self):
+        seen.append(self)
+        raise ConsistencyError("boundaries at degrees 2 and 1 do not compose to zero")
+
+    monkeypatch.setattr(StrandComplex, "skeleton_complex", failing)
+    code, out, _ = run(capsys, "verify", path_of("six_of_eight_transversals.json"))
+    assert code == 1
+    assert len(seen) == 1
+    assert "FAIL differentials-compose-to-zero (boundaries at degrees 2 and 1 do not compose to zero)" in out.splitlines()

@@ -279,3 +279,10 @@ def test_table_and_strand_match_brute_force_on_mixed_antichains(i):
         diagonal = {(k, s): v for (k, s), v in brute.items() if len(s) == k + d}
         assert multigraded == diagonal, f
         assert graded == {k: sum(v for (j, _), v in diagonal.items() if j == k) for k, _ in diagonal}, f
+
+
+def test_negative_degree_cap_is_rejected():
+    i = ideal(3, {0, 1}, {1, 2})
+    with pytest.raises(ValueError, match="degree cap must be nonnegative, got -1"):
+        betti_table(i, QQ, degree_cap=-1)
+    assert betti_table(i, QQ, degree_cap=0).graded == {}

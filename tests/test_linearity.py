@@ -144,3 +144,17 @@ def test_characterization_matches_oracle_property(c):
 def test_complement_agreement_property(c):
     assume(c.edges)
     assert complement_linearity_agrees(c)
+
+
+def test_linearity_guard_fires_before_the_transversals_are_listed(monkeypatch):
+    from linstrand import Clutter, SizeGuardError
+
+    c = six_of_eight_transversals()
+
+    def listed_too_early(self):
+        raise AssertionError("the transversals were listed before the vertex guard fired")
+
+    monkeypatch.setattr(Clutter, "complete_edges", listed_too_early)
+    for call in (is_linear, complement_linearity_agrees):
+        with pytest.raises(SizeGuardError, match=f"{c.n} vertices exceeds the guard of 5"):
+            call(c, max_vertices=5)
