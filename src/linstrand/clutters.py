@@ -30,7 +30,6 @@ from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 __all__ = [
     "VertexTable",
     "Clutter",
-    "minimal_sets",
     "minimal_vertex_covers",
     "independent_sets",
     "d_partite_complement",
@@ -84,15 +83,6 @@ def _members(m: int) -> tuple[int, ...]:
 def _frozen(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
     """Masks as frozensets, in canonical order."""
     return tuple(frozenset(t) for t in sorted(map(_members, masks)))
-
-
-def minimal_sets(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal members of a family, deduplicated, in canonical order."""
-    kept: list[frozenset[int]] = []
-    for s in sorted(set(sets), key=len):
-        if not any(t < s for t in kept):
-            kept.append(s)
-    return tuple(sorted(kept, key=sorted_key))
 
 
 def _nested_pair(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], frozenset[int]] | None:

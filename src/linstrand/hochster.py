@@ -15,8 +15,10 @@ This module is the oracle the strand construction is validated against, so
 it shares no code with the strand or the relative-pair route beyond exact
 rank computation: it never reads the strand's basis, the part structure or
 the relative pair, only the generators, and derives every number from
-faces and boundary matrices of its own.  The lcm skip uses nothing but the
-generators either, so it keeps that independence.
+faces and boundary rows of its own.  Those rows go straight to the one
+elimination kernel (linalg._eliminate), with no Matrix in between, so
+Field, QQ and _eliminate are all it takes from linalg.  The lcm skip uses
+nothing but the generators either, so it keeps that independence.
 
 The homology is taken relative to a vertex star, which makes every matrix
 smaller.  Let v be the lowest vertex of a nonempty sigma.  The star of v in
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
 from .ideals import SquarefreeIdeal
-from .linalg import Field, Matrix, QQ, rank
+from .linalg import Field, QQ, _eliminate
 
 __all__ = ["BettiTable", "betti_table", "multigraded_betti", "linear_strand_betti", "is_linear_by_betti"]
 
@@ -114,13 +116,15 @@ def _independent_masks(n: int, gen_masks: list[int]) -> list[list[int]]:
     return by_card
 
 
-def _mask_boundary(sources: list[int], targets: list[int]) -> Matrix:
+def _mask_boundary(sources: list[int], targets: list[int], p: int) -> list[dict[int, int]]:
     """The signed boundary from the source faces (columns) to the target
-    faces (rows): dropping the t-th smallest vertex of a face, counting
-    from 0, has sign (-1)**t.  Only a face's set bits are walked, lowest
-    first."""
+    faces (rows), one col -> value dict per target, over the field of
+    characteristic p: dropping the t-th smallest vertex of a face, counting
+    from 0, has sign (-1)**t, and -1 is p - 1 when p > 0.  Only a face's set
+    bits are walked, lowest first."""
     index = {m: i for i, m in enumerate(targets)}
-    entries = []
+    rows: list[dict[int, int]] = [{} for _ in targets]
+    minus = p - 1 if p else -1
     for col, m in enumerate(sources):
         rest = m
         sign = 1
@@ -129,9 +133,9 @@ def _mask_boundary(sources: list[int], targets: list[int]) -> Matrix:
             rest ^= bit
             row = index.get(m ^ bit)
             if row is not None:
-                entries.append((row, col, sign))
-            sign = -sign
-    return Matrix(len(targets), len(sources), tuple(entries))
+                rows[row][col] = sign
+            sign = minus if sign == 1 else 1
+    return rows
 
 
 def _lcm_closed(sigma: int, gen_masks: list[int]) -> bool:
@@ -156,6 +160,7 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     quotient.  At sigma = {} there is no v and every face is a chain.  Each
     cardinality is filtered, and each rank computed, at most once."""
     by_card, independent = prepared[2:]
+    p = f.characteristic
     size = sigma.bit_count()
     apex = sigma & -sigma
     faces: dict[int, list[int]] = {}
@@ -174,7 +179,7 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     def del_rank(c: int) -> int:
         # rank of the boundary from cardinality c to cardinality c - 1
         if c not in ranks:
-            ranks[c] = rank(_mask_boundary(chains(c), chains(c - 1)), f) if chains(c) and chains(c - 1) else 0
+            ranks[c] = _eliminate(_mask_boundary(chains(c), chains(c - 1), p), p) if chains(c) and chains(c - 1) else 0
         return ranks[c]
 
     out = []
@@ -216,8 +221,10 @@ def _betti_degrees(
     i: SquarefreeIdeal, hom_degrees, sigma: frozenset[int], f: Field, max_vertices: int
 ) -> list[int]:
     """beta_{i,sigma} for each i of hom_degrees, in that order, preparing
-    the oracle once."""
+    the oracle once.  A vertex of sigma outside 0..n-1 raises ValueError."""
     prepared = _prepare(i, max_vertices)
+    if not all(0 <= v < prepared[0] for v in sigma):
+        raise ValueError("multidegree out of range")
     smask = sum(1 << v for v in sigma)
     if not _lcm_closed(smask, prepared[1]):
         return [0] * len(hom_degrees)
@@ -257,7 +264,8 @@ def multigraded_betti(
 
     At sigma = {} and i = -1 this is 1, the reduced homology of {emptyset}
     in degree -1, which Hochster's formula places there; betti_table records
-    no i < 0, so this is the one cell where the two differ."""
+    no i < 0, so this is the one cell where the two differ.  A sigma with a
+    vertex outside the table raises ValueError."""
     return _betti_degrees(i, (hom_degree,), sigma, f, max_vertices)[0]
 
 

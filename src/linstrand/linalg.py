@@ -26,7 +26,9 @@ boundary the columns the one above it pivoted on (clearing; see
 homology_dims).  That loop is written once, in _clearing_homology, which
 takes its boundary rows from a callback: homology_dims hands it a
 ChainComplex's matrices, and simplicial hands it rows made straight from the
-masks of a complex it has checked itself.
+masks of a complex it has checked itself.  The Hochster oracle hands its own
+rows to _eliminate, so Matrix and ChainComplex are built only for callers
+that ask for one.
 """
 
 from __future__ import annotations

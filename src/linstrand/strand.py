@@ -13,12 +13,15 @@ keeps independence for free, so the only condition on v is the part one.)
 Level i corresponds to the (i+d-1)-dimensional faces of the relative pair of
 the independence complex of the complement modulo the part-deficient
 subcomplex, and the matrix of scalars above is exactly the relative boundary
-matrix; verify_support checks that correspondence entry by entry.
+matrix; verify_support checks that correspondence entry by entry, applying
+the formula above to the pair's faces as frozensets, apart from the
+signed-drop rule that both are built by.
 A StrandComplex stores one sorted tuple of int bitmasks per level, as the
 pair stores its faces; levels and differentials are made on first read, and
 the pair's signed-drop rule and chain builder serve both (simplicial).
 first_linear_strand checks its squares, and strand_homology_at ranks, on
-the masks, without building matrices.
+the masks; no route here builds a matrix unless skeleton or
+skeleton_complex is asked for one.
 
 The basis is grown from the edges: level 0 is the edges of c (a transversal
 is independent in the complement exactly when it is an edge of c), and level
@@ -50,7 +53,6 @@ from .simplicial import (
     _mask_homology,
     _signed_drops,
     _squares_vanish,
-    relative_chain_complex,
 )
 
 __all__ = ["StrandEntry", "StrandComplex", "SupportReport", "first_linear_strand", "verify_support", "strand_homology_at"]
@@ -185,12 +187,12 @@ class SupportReport:
 def verify_support(s: StrandComplex, pair: SimplicialPair) -> SupportReport:
     """Check that the strand is the relative pair, shifted: the level-i basis
     must equal the (i+d-1)-dimensional pair faces in the same order, and each
-    scalar skeleton must equal the corresponding relative boundary matrix
-    entry by entry.  Collects every mismatch rather than stopping at the
-    first."""
+    differential must equal the paper's formula on those faces entry by
+    entry, e_A having the coefficient (-1)**t * x_v on e_{A-v}, v the t-th
+    smallest vertex of A.  Collects every mismatch rather than stopping at
+    the first."""
     problems: list[str] = []
     d = s.d
-    rel = relative_chain_complex(pair)
     top_level = max(s.length() - 1, pair.x.dim - d + 1)
     for i in range(0, top_level + 1):
         basis = s.level_masks[i] if i < s.length() else ()
@@ -206,23 +208,19 @@ def verify_support(s: StrandComplex, pair: SimplicialPair) -> SupportReport:
         if k < d - 1 and k in pair._kept:
             problems.append(f"pair has faces of dimension {k} below the strand range")
     for i in range(1, s.length()):
-        mine = s.skeleton(i)
-        theirs = rel.boundary(i + d - 1)
-        if (mine.nrows, mine.ncols) != (theirs.nrows, theirs.ncols):
-            problems.append(
-                f"level {i}: skeleton is {mine.nrows}x{mine.ncols}, "
-                f"relative boundary is {theirs.nrows}x{theirs.ncols}"
-            )
-            continue
-        if mine != theirs:
-            a = {(r, cc): v for r, cc, v in mine.entries}
-            b = {(r, cc): v for r, cc, v in theirs.entries}
-            for key in sorted(a.keys() | b.keys()):
-                if a.get(key) != b.get(key):
-                    problems.append(
-                        f"level {i}: entry {key} is {a.get(key, 0)} in the strand, "
-                        f"{b.get(key, 0)} in the relative boundary"
-                    )
+        if s.level_masks[i - 1 : i + 1] != (pair._kept.get(i + d - 2, ()), pair._kept.get(i + d - 1, ())):
+            continue  # rows or columns index other sets, as reported above
+        row_of = {a: r for r, a in enumerate(pair.faces(i + d - 2))}
+        theirs = {}
+        for col, a in enumerate(pair.faces(i + d - 1)):
+            for t, v in enumerate(sorted(a)):
+                if (row := row_of.get(a - {v})) is not None:
+                    theirs[(row, col)] = ((-1) ** t, v)
+        mine = {(e.row, e.col): (e.sign, e.vertex) for e in s.differentials[i]}
+        for key in sorted(mine.keys() | theirs.keys()):
+            if mine.get(key) != theirs.get(key):
+                a, b = (f"{e[0]:+d}*x{e[1]}" if e else "0" for e in (mine.get(key), theirs.get(key)))
+                problems.append(f"level {i}: entry {key} is {a} in the strand, {b} in the relative boundary")
     return SupportReport(not problems, tuple(problems))
 
 

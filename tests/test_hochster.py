@@ -286,3 +286,10 @@ def test_negative_degree_cap_is_rejected():
     with pytest.raises(ValueError, match="degree cap must be nonnegative, got -1"):
         betti_table(i, QQ, degree_cap=-1)
     assert betti_table(i, QQ, degree_cap=0).graded == {}
+
+
+@pytest.mark.parametrize("sigma", [{0, 1, 3, 99}, {-1, 0}], ids=["above", "negative"])
+def test_multidegree_outside_the_table_is_rejected(sigma):
+    i = ideal(4, {0, 1}, {1, 3})
+    with pytest.raises(ValueError, match="multidegree out of range"):
+        multigraded_betti(i, 1, frozenset(sigma), QQ)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from linstrand import (
     QQ,
-    Matrix,
     SizeGuardError,
     StrandComplex,
     StrandEntry,
@@ -80,26 +79,67 @@ def test_strand_matches_relative_pair_on_fixtures():
 
 
 class _FlippedSign(StrandComplex):
-    """A strand whose level-1 skeleton has the sign of its fourth entry
+    """A strand whose level-1 differential has the sign of its fourth entry
     flipped."""
 
-    def skeleton(self, i):
-        m = super().skeleton(i)
-        if i != 1:
-            return m
-        entries = list(m.entries)
-        r, cc, v = entries[3]
-        entries[3] = (r, cc, -v)
-        return Matrix(m.nrows, m.ncols, tuple(entries))
+    @property
+    def differentials(self):
+        diffs = list(super().differentials)
+        entries = list(diffs[1])
+        entries[3] = entries[3]._replace(sign=-entries[3].sign)
+        diffs[1] = tuple(entries)
+        return tuple(diffs)
 
 
 def test_corrupted_sign_is_located():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
-    r, cc, _ = s.skeleton(1).entries[3]
+    r, cc, _, _ = s.differentials[1][3]
     report = verify_support(_FlippedSign(s.d, s.vertices, s.level_masks), strand_support_pair(c))
     assert not report.ok
     assert any(f"level 1: entry ({r}, {cc})" in m for m in report.mismatches)
+
+
+class _WrongVertex(StrandComplex):
+    """A strand whose level-1 differential names the wrong vertex, with the
+    right sign, in its first entry."""
+
+    @property
+    def differentials(self):
+        diffs = list(super().differentials)
+        e = diffs[1][0]
+        diffs[1] = (e._replace(vertex=(e.vertex + 1) % self.n),) + diffs[1][1:]
+        return tuple(diffs)
+
+
+def test_wrong_vertex_is_reported():
+    c = six_of_eight_transversals()
+    s = first_linear_strand(c)
+    r, cc, _, _ = s.differentials[1][0]
+    report = verify_support(_WrongVertex(s.d, s.vertices, s.level_masks), strand_support_pair(c))
+    assert not report.ok
+    assert [m for m in report.mismatches if m.startswith(f"level 1: entry ({r}, {cc})")] == list(report.mismatches)
+
+
+def test_flipping_every_sign_of_the_shared_rule_is_caught(monkeypatch):
+    """Negating every sign still squares to zero, so the product check
+    passes; only the paper's formula tells the two rules apart."""
+    from linstrand import simplicial, strand
+
+    original = simplicial._signed_drops
+
+    def flipped(sources, targets):
+        for row, col, sign, v in original(sources, targets):
+            yield row, col, -sign, v
+
+    monkeypatch.setattr(simplicial, "_signed_drops", flipped)
+    monkeypatch.setattr(strand, "_signed_drops", flipped)
+    c = complete_clutter([2, 2, 2])
+    s = first_linear_strand(c)
+    s.skeleton_complex()
+    report = verify_support(s, strand_support_pair(c))
+    assert not report.ok
+    assert len(report.mismatches) == sum(map(len, s.differentials))
 
 
 def test_missing_basis_set_is_reported():
