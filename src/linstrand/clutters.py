@@ -53,6 +53,12 @@ def sorted_key(s: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
+def _in_table(s: Iterable[int], n: int) -> bool:
+    """Whether every member of s is a vertex of an n-vertex table, an int in
+    0..n-1."""
+    return all(isinstance(v, int) and 0 <= v < n for v in s)
+
+
 def _mask(s: Iterable[int]) -> int:
     """The bitmask of a vertex set."""
     m = 0
@@ -111,12 +117,10 @@ def _canonical_family(
     on a vertex outside the table, and on a repeated member or one member
     inside another; member names the sets in the messages."""
     family = tuple(frozenset(s) for s in sets)
-    n = table.n
-    for s in family:
-        if not s and not allow_empty:
-            raise ValueError(f"{member}s must be nonempty")
-        if not all(0 <= v < n for v in s):
-            raise ValueError(f"{member} vertex out of range")
+    if not allow_empty and not all(family):
+        raise ValueError(f"{member}s must be nonempty")
+    if not _in_table(itertools.chain.from_iterable(family), table.n):
+        raise ValueError(f"{member} vertex out of range")
     if nested := _nested_pair(family):
         s, t = nested
         if s == t:
@@ -308,7 +312,7 @@ def restrict(c: Clutter, w: Iterable[int]) -> Clutter:
     meets w the part indices are unchanged.
     """
     w = frozenset(w)
-    if not all(0 <= v < c.n for v in w):
+    if not _in_table(w, c.n):
         raise ValueError("restriction set out of range")
     return _on_subset(c, w, (e for e in c.edges if e <= w))
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .clutters import _in_table
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
 from .ideals import SquarefreeIdeal
 from .linalg import Field, QQ, _eliminate
@@ -221,9 +222,10 @@ def _betti_degrees(
     i: SquarefreeIdeal, hom_degrees, sigma: frozenset[int], f: Field, max_vertices: int
 ) -> list[int]:
     """beta_{i,sigma} for each i of hom_degrees, in that order, preparing
-    the oracle once.  A vertex of sigma outside 0..n-1 raises ValueError."""
+    the oracle once.  A member of sigma that is not an int in 0..n-1 raises
+    ValueError."""
     prepared = _prepare(i, max_vertices)
-    if not all(0 <= v < prepared[0] for v in sigma):
+    if not _in_table(sigma, prepared[0]):
         raise ValueError("multidegree out of range")
     smask = sum(1 << v for v in sigma)
     if not _lcm_closed(smask, prepared[1]):

@@ -20,6 +20,7 @@ from .clutters import (
     VertexTable,
     _canonical_family,
     _frozen,
+    _in_table,
     _mask,
     d_partite_complement,
     minimal_vertex_covers,
@@ -125,7 +126,7 @@ def check_admissible(i: SquarefreeIdeal, seq: AdmissibleSequence) -> Admissibili
     least generator degree, and each one a vertex cover of the generators."""
     n = i.vertices.n
     for s in seq.supports:
-        if not all(0 <= v < n for v in s):
+        if not _in_table(s, n):
             return AdmissibilityReport(False, "support out of range")
     if i.is_zero:
         return AdmissibilityReport(False, "the zero ideal admits no sequence")

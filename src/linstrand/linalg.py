@@ -5,16 +5,14 @@ integer entries; everything the rest of the library needs is the rank and the
 chain-complex bookkeeping around it.  Rank over the rationals is computed by
 fraction-free integer elimination (rows are combined integrally and divided by
 their gcd), rank over GF(p) by ordinary modular elimination; one kernel,
-`_eliminate`, does both.  Pivots are chosen Markowitz-style: a shortest row,
-then its sparsest column, preferring a unit entry (1 or -1, invertible over
-every field and free of gcd growth) among equally sparse columns, then the
-lowest index.  Each column's set of active rows is kept up to date as rows
-change, so choosing a pivot needs no recount, and the shortest row comes off
-a heap of (length, row index) pairs: a row is pushed again whenever a pivot
-changes its length, and a popped pair that no longer matches its row is
-skipped.  That picks the same row, the shortest with the lowest index, as a
-scan of every active row would, at logarithmic rather than linear cost per
-pivot.
+`_eliminate`, does both, with no pivot search.  It takes the rows shortest
+first and reduces each one against a basis of the rows kept so far, keyed by
+their highest column, until its highest column is free or it vanishes; a row
+that survives is kept.  The kept rows are independent and span the row
+space, which is what clearing needs of its pivot rows.  Every matrix the
+package ranks is a signed boundary with entries +-1, where a short row
+reduced against short basis rows stays short; any other integer matrix is
+ranked just as exactly, if with more fill-in.
 
 Validating a matrix normalises its entries, rejecting a value or an index
 that is not integral, sorts them (a linear pass when they already come
@@ -33,7 +31,6 @@ that ask for one.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -143,86 +140,64 @@ class Matrix:
 def _eliminate(rows: list[dict[int, int]], p: int, pivot_rows: set[int] | None = None) -> int:
     """Rank of the rows (col -> nonzero value, already reduced mod p when
     p > 0) by sparse elimination; the rows are consumed.  The index of every
-    row taken as a pivot goes into pivot_rows when it is given: those rows
+    row kept in the basis goes into pivot_rows when it is given: those rows
     are linearly independent and span the row space, the rows that are not
-    taken having been reduced to zero by them.
+    kept having been reduced to zero by them.
 
-    Each column keeps the set of active rows that have an entry in it, updated
-    as rows change, so a pivot reaches exactly the rows it clears.  The pivot
-    is a shortest row and, in it, a column with fewest active rows; among
-    those a unit entry (1 or -1, which is p - 1 mod p and -1 itself when
-    p = 0) comes first, then the lowest index.  When p = 0 rows are combined
-    fraction-free, a*r - b*pivot with a > 0, and divided by the gcd of their
-    entries; otherwise modulo p.
+    The rows are taken shortest first, the lowest index first among equals.
+    Each one is reduced against the basis, whose rows are keyed by their
+    highest column, until its highest column has no basis row or it
+    vanishes; a row that survives joins the basis under that column.  A
+    reduction clears the row's highest column and writes only below it, so
+    the loop ends, and the basis rows have distinct highest columns, so they
+    are independent.  Each row taken is its original plus a combination of
+    the basis rows before it, so the basis rows span what the original rows
+    of pivot_rows span, and every row left out reduced to zero in it.
 
-    The pivot row comes off a heap of (length, row index) with lazy
-    invalidation: every row that a pivot changes in length is pushed again,
-    and a popped pair whose row is gone or has another length is dropped.
-    Every active row thus has a pair matching its current length, and the
-    smallest such pair is the shortest active row with the lowest index.
+    Over GF(p) a basis row is scaled to a leading 1, and a row r with
+    highest column c becomes r - r[c] * pivot modulo p.  When p = 0 rows
+    are combined fraction-free, a*r - b*pivot with a > 0, and divided by the
+    gcd of their entries.
     """
-    active = {i: r for i, r in enumerate(rows) if r}
-    support: dict[int, set[int]] = {}
-    for i, r in active.items():
-        for c in r:
-            support.setdefault(c, set()).add(i)
-    queue = [(len(r), i) for i, r in active.items()]
-    heapq.heapify(queue)
-    pop, push = heapq.heappop, heapq.heappush
-    rk = 0
-    while active:
-        n, i = pop(queue)
-        piv = active.get(i)
-        if piv is None or len(piv) != n:
-            continue
-        del active[i]
-        if pivot_rows is not None:
-            pivot_rows.add(i)
-        pc = min(piv, key=lambda c: (len(support[c]), piv[c] not in (1, p - 1), c))
-        pv = piv.pop(pc)
-        hits = support.pop(pc)
-        hits.discard(i)
-        for c in piv:
-            support[c].discard(i)
-        rk += 1
-        inv = pow(pv, -1, p) if p else 0
-        for j in hits:
-            r = active[j]
-            before = len(r)
-            f = r.pop(pc)
-            if p:
-                b = f * inv % p
-            else:
-                g = math.gcd(pv, f)
-                a, b = pv // g, f // g
+    basis: dict[int, dict[int, int]] = {}
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        r = rows[i]
+        while r:
+            top = max(r)
+            piv = basis.get(top)
+            if piv is None:
+                break
+            f = r[top]
+            if not p:
+                g = math.gcd(piv[top], f)
+                a, f = piv[top] // g, f // g
                 if a < 0:
-                    a, b = -a, -b
+                    a, f = -a, -f
                 if a != 1:
                     for c in r:
                         r[c] *= a
             for c, v in piv.items():
-                old = r.get(c)
-                nv = (0 if old is None else old) - b * v
+                nv = r.get(c, 0) - f * v
                 if p:
                     nv %= p
                 if nv:
-                    if old is None:
-                        support[c].add(j)
                     r[c] = nv
-                elif old is not None:
+                else:
                     del r[c]
-                    support[c].discard(j)
-            if not r:
-                del active[j]
-                continue
-            if len(r) != before:
-                push(queue, (len(r), j))
-            if not p:
+            if r and not p:
                 g = math.gcd(*r.values())
                 if g > 1:
                     for c in r:
                         r[c] //= g
-    return rk
+        if r:
+            if p and r[top] != 1:
+                inv = pow(r[top], -1, p)
+                for c in r:
+                    r[c] = r[c] * inv % p
+            basis[top] = r
+            if pivot_rows is not None:
+                pivot_rows.add(i)
+    return len(basis)
 
 
 def rank(m: Matrix, field: Field = QQ) -> int:

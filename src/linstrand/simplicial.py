@@ -37,6 +37,7 @@ from .clutters import (
     VertexTable,
     _canonical_family,
     _frozen,
+    _in_table,
     _mask,
     _members,
     d_partite_complement,
@@ -85,8 +86,9 @@ class SimplicialComplex:
         return _frozen(self._faces.get(k, ()))
 
     def has_face(self, s: frozenset[int]) -> bool:
-        n = self.vertices.n
-        return all(0 <= v < n for v in s) and _inside(_mask(s), self._facet_masks)
+        """Whether s is a face; False for a set with a member that is not a
+        vertex of the table."""
+        return _in_table(s, self.vertices.n) and _inside(_mask(s), self._facet_masks)
 
 
 def _inside(mask: int, facet_masks) -> bool:

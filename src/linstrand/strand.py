@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .clutters import Clutter, VertexTable, _mask, _members, d_partite_complement
+from .clutters import Clutter, VertexTable, _in_table, _mask, _members, d_partite_complement
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 from .linalg import ChainComplex, Field, Matrix, QQ
 from .simplicial import (
@@ -233,7 +233,7 @@ def strand_homology_at(s: StrandComplex, b: frozenset[int], f: Field = QQ) -> di
     for every level of s, zeros included.
     """
     b = frozenset(b)
-    if not all(0 <= v < s.n for v in b):
+    if not _in_table(b, s.n):
         raise ValueError("multidegree out of range")
     inside = _mask(b)
     kept = (tuple(a for a in level if a & ~inside == 0) for level in s.level_masks)

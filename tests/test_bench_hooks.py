@@ -38,11 +38,24 @@ def test_every_wrapped_method_is_defined_on_its_class():
         assert method in vars(cls), f"{module}.{cls_name}.{method}"
 
 
-def test_a_short_traced_strand_pair_run_is_correct():
-    # about 3.5 s; the run also checks the seed-1 digests in bench/expected.json
-    argv = ["bench/run.py", "--workload", "strand-pair", "--seed", "1", "--seconds", "1", "--trace", "1"]
+def _short_run(*argv):
+    """The last record of a 1 s seed-1 bench/run.py run, which also checks the
+    seed-1 digests in bench/expected.json."""
+    argv = ["bench/run.py", *argv, "--seed", "1", "--seconds", "1"]
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    last = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_short_traced_strand_pair_run_is_correct():
+    # about 3.5 s
+    last = _short_run("--workload", "strand-pair", "--trace", "1")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_a_short_oracle_run_is_correct():
+    # about 2.3 s; the oracle ranks with the same kernel as the strand routes
+    last = _short_run("--workload", "oracle")
     assert last["correct"] is True
     assert last["failed"] == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linstrand import (
+    QQ,
     Clutter,
     SimplicialComplex,
     SizeGuardError,
@@ -12,13 +13,17 @@ from linstrand import (
     VertexTable,
     complete_clutter,
     d_partite_complement,
+    edge_ideal,
     ferrers_clutter,
+    first_linear_strand,
     from_point_configuration,
     independent_sets,
     minimal_vertex_covers,
+    multigraded_betti,
     random_clutter,
     ranked_projection,
     restrict,
+    strand_homology_at,
 )
 
 from helpers import (
@@ -64,6 +69,32 @@ def test_set_families_reject_bad_members(family_type, members, message):
     t = VertexTable(("x", "y", "z"), None)
     with pytest.raises(ValueError, match=message):
         family_type(t, tuple(frozenset(m) for m in members))
+
+
+# each takes a vertex set s on the table of a partitioned clutter c
+TAKES_A_VERTEX_SET = {
+    "Clutter": lambda c, s: Clutter(c.vertices, (s,)),
+    "unpartitioned-Clutter": lambda c, s: Clutter(c.vertices.without_parts(), (s,)),
+    "SquarefreeIdeal": lambda c, s: SquarefreeIdeal(c.vertices, (s,)),
+    "restrict": restrict,
+    "multigraded_betti": lambda c, s: multigraded_betti(edge_ideal(c), 1, s, QQ),
+    "strand_homology_at": lambda c, s: strand_homology_at(first_linear_strand(c), s, QQ),
+    "has_face": lambda c, s: SimplicialComplex(c.vertices, c.edges).has_face(s),
+}
+
+
+@pytest.mark.parametrize("vertex", [1.5, 1.0, "1", None], ids=repr)
+@pytest.mark.parametrize("entry", TAKES_A_VERTEX_SET)
+def test_a_vertex_that_is_not_an_int_is_refused(entry, vertex):
+    # has_face answers no, as it does for a vertex number outside the table;
+    # every other entry point raises ValueError, never TypeError
+    c = random_clutter([2, 2], 0.9, 1)
+    s = frozenset({0, vertex})
+    if entry == "has_face":
+        assert TAKES_A_VERTEX_SET[entry](c, s) is False
+    else:
+        with pytest.raises(ValueError, match="out of range"):
+            TAKES_A_VERTEX_SET[entry](c, s)
 
 
 @pytest.mark.parametrize("family_type", SET_FAMILIES, ids=lambda t: t.__name__)

@@ -25,6 +25,8 @@ from linstrand import (
     strand_support_pair,
 )
 
+from linstrand.linalg import _eliminate
+
 from helpers import dense_rank
 
 
@@ -171,9 +173,9 @@ def small_integer_matrices(draw):
 @st.composite
 def sparse_shuffled_matrices(draw):
     """8 x 8 up to 30 x 30, one to four nonzero entries per row, in -6..6, as
-    (dense, entries) with the entries in shuffled order: elimination fills
-    rows in and shortens them again many times, so rows go back on the pivot
-    queue often."""
+    (dense, entries) with the entries in shuffled order: a row's reductions
+    against the basis fill it in below its highest column and shorten it
+    again many times, and many rows reduce to zero."""
     nr, nc = draw(st.integers(8, 30)), draw(st.integers(8, 30))
     rng = random.Random(draw(st.integers(0, 2**32)))
     dense = [[0] * nc for _ in range(nr)]
@@ -346,3 +348,32 @@ def test_clearing_skips_a_gap_in_the_degrees(f):
     d4 = Matrix.from_entries(2, 1, [(0, 0, 1)])
     c = ChainComplex({0: 1, 1: 2, 3: 2, 4: 1}, {1: d1, 4: d4})
     assert homology_dims(c, f) == plain_homology(c, f) == {0: 0, 1: 1, 3: 1, 4: 0}
+
+
+def pair_boundaries(case) -> list[list[list[int]]]:
+    """Every boundary of the relative complex of the strand's support pair of
+    random_clutter(*case), as a dense matrix."""
+    out = []
+    for m in relative_chain_complex(strand_support_pair(random_clutter(*case))).boundaries.values():
+        dense = [[0] * m.ncols for _ in range(m.nrows)]
+        for r, c, v in m.entries:
+            dense[r][c] = v
+        out.append(dense)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(small_integer_matrices().map(lambda dense: [dense]), CLUTTERS.map(pair_boundaries)),
+    st.sampled_from((0, 2, 3, 7)),
+)
+def test_pivot_rows_are_a_basis_of_the_row_space(matrices, p):
+    # clearing rests on this: the kept rows are independent and span the rows
+    for dense in matrices:
+        reduced = [[v % p if p else v for v in row] for row in dense]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in reduced]
+        pivots: set[int] = set()
+        rk = _eliminate(rows, p, pivots)
+        assert rk == dense_rank(dense, p)
+        assert len(pivots) == rk
+        assert dense_rank([dense[i] for i in sorted(pivots)], p) == rk
