@@ -45,7 +45,14 @@ def load_instance(path: str) -> Clutter:
         raise InstanceFormatError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise InstanceFormatError(f"{path} nests too deeply") from None
     return instance_from_dict(data)
+
+
+def _is_label(x: object) -> bool:
+    """A JSON string or number (not true or false, which pass for 1 and 0), or a list of labels."""
+    return all(map(_is_label, x)) if isinstance(x, list) else type(x) in (str, int, float)
 
 
 def instance_from_dict(data: object) -> Clutter:
@@ -60,11 +67,13 @@ def instance_from_dict(data: object) -> Clutter:
         if not isinstance(points, list) or not points or not all(isinstance(p, list) for p in points):
             raise InstanceFormatError("points must be a nonempty list of rows, each a list of labels")
         try:
-            return from_point_configuration(points)
-        except TypeError:
-            raise InstanceFormatError("point labels must be strings, numbers or lists of them") from None
+            if _is_label(points):
+                return from_point_configuration(points)
+        except RecursionError:
+            raise InstanceFormatError("point labels nest too deeply") from None
         except ValueError as e:
             raise InstanceFormatError(str(e)) from None
+        raise InstanceFormatError("point labels must be strings, numbers or lists of them")
     if not ("parts" in data and "edges" in data):
         raise InstanceFormatError("instance needs both parts and edges (or points)")
     parts, edges = data["parts"], data["edges"]
@@ -130,7 +139,10 @@ def run_verification(c: Clutter, f: Field = QQ, max_vertices: int = DEFAULT_MAX_
         strand = None
         checks.append(Check("differentials-compose-to-zero", False, str(e)))
 
-    if strand is not None:
+    if strand is None:
+        checks.append(Check("strand-matches-relative-pair", None, "no strand to compare"))
+        checks.append(Check("strand-ranks-match-oracle", None, "no strand to compare"))
+    else:
         report = verify_support(strand, pair)
         checks.append(
             Check("strand-matches-relative-pair", report.ok, "; ".join(report.mismatches[:3]))
@@ -146,7 +158,7 @@ def run_verification(c: Clutter, f: Field = QQ, max_vertices: int = DEFAULT_MAX_
             detail = "" if ok else f"oracle {graded}, strand {ranks}"
             checks.append(Check("strand-ranks-match-oracle", ok, detail))
         else:
-            checks.append(Check("strand-ranks-match-oracle", True, "no edges, nothing to compare"))
+            checks.append(Check("strand-ranks-match-oracle", None, "no edges, nothing to compare"))
 
     hy = homology_dims(chain_complex(pair.y, reduced=True), f)
     d = c.vertices.d

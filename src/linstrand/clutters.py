@@ -7,7 +7,7 @@ order that drives orientation signs downstream, so it lives in an explicit
 VertexTable rather than being recomputed from names.  Inside the hot loops
 (minimal covers, face enumeration, strand growth) a vertex set is an int
 bitmask instead, bit v standing for vertex v; _mask and _members convert, and
-sorting masks by _members gives the same canonical order as sorted_key.
+sorting masks by _members gives the same order as key=sorted on frozensets.
 
 A clutter may carry a partition of the vertices into d parts.  Partitioned
 clutters are d-partite d-uniform by construction: every edge takes exactly one
@@ -48,11 +48,6 @@ def _part_letter(i: int) -> str:
     return _LETTERS[i] if i < len(_LETTERS) else f"p{i}_"
 
 
-def sorted_key(s: frozenset[int]) -> tuple[int, ...]:
-    """Canonical sort key for a vertex set: its ascending vertex tuple."""
-    return tuple(sorted(s))
-
-
 def _in_table(s: Iterable[int], n: int) -> bool:
     """Whether every member of s is a vertex of an n-vertex table, an int in
     0..n-1."""
@@ -73,7 +68,7 @@ _BYTES: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _members(m: int) -> tuple[int, ...]:
-    """The vertices of a bitmask, ascending; the mask form of sorted_key."""
+    """The vertices of a bitmask, ascending; the mask form of key=sorted."""
     out: tuple[int, ...] = ()
     i = 0
     while m:
@@ -126,7 +121,7 @@ def _canonical_family(
         if s == t:
             raise ValueError(f"duplicate {member}")
         raise ValueError(f"not an antichain: {table.label(s)} and {table.label(t)}")
-    return tuple(sorted(family, key=sorted_key))
+    return tuple(sorted(family, key=sorted))
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ class Clutter:
     def complete_edges(self) -> tuple[frozenset[int], ...]:
         """All transversals of the partition, in canonical order."""
         prod = itertools.product(*(self.vertices.part_members(i) for i in range(self.vertices.d)))
-        return tuple(sorted((frozenset(t) for t in prod), key=sorted_key))
+        return tuple(sorted((frozenset(t) for t in prod), key=sorted))
 
 
 def minimal_vertex_covers(c: Clutter) -> tuple[frozenset[int], ...]:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clutters import _in_table
+from .clutters import _in_table, _mask, _members
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
 from .ideals import SquarefreeIdeal
 from .linalg import Field, QQ, _eliminate
@@ -198,7 +198,7 @@ def _prepare(i: SquarefreeIdeal, max_vertices: int):
     if i.is_zero:
         raise ValueError("the zero ideal has no Betti table")
     n = i.vertices.n
-    gen_masks = [sum(1 << v for v in g) for g in i.generators]
+    gen_masks = [_mask(g) for g in i.generators]
     by_card = _independent_masks(n, gen_masks)
     return n, gen_masks, by_card, {m for level in by_card for m in level}
 
@@ -214,7 +214,7 @@ def _sweep(prepared, f: Field, hom_degrees) -> dict[tuple[int, frozenset[int]], 
             continue
         for hom_i, v in zip(degrees, _betti_at(prepared, sigma, f, degrees)):
             if v:
-                multigraded[(hom_i, _unmask(sigma, n))] = v
+                multigraded[(hom_i, frozenset(_members(sigma)))] = v
     return multigraded
 
 
@@ -227,14 +227,10 @@ def _betti_degrees(
     prepared = _prepare(i, max_vertices)
     if not _in_table(sigma, prepared[0]):
         raise ValueError("multidegree out of range")
-    smask = sum(1 << v for v in sigma)
+    smask = _mask(sigma)
     if not _lcm_closed(smask, prepared[1]):
         return [0] * len(hom_degrees)
     return _betti_at(prepared, smask, f, hom_degrees)
-
-
-def _unmask(sigma: int, n: int) -> frozenset[int]:
-    return frozenset(v for v in range(n) if sigma >> v & 1)
 
 
 def betti_table(

@@ -21,12 +21,12 @@ square-zero check of a chain complex share one row-by-row product, and the
 check stops at the first row of the product that is not zero.  Homology
 ranks a complex's boundaries from the top degree down and leaves out of each
 boundary the columns the one above it pivoted on (clearing; see
-homology_dims).  That loop is written once, in _clearing_homology, which
-takes its boundary rows from a callback: homology_dims hands it a
-ChainComplex's matrices, and simplicial hands it rows made straight from the
-masks of a complex it has checked itself.  The Hochster oracle hands its own
-rows to _eliminate, so Matrix and ChainComplex are built only for callers
-that ask for one.
+homology_dims).  That loop is written once, in _clearing_homology: it takes
+each boundary's (row, col, value) entries from a callback, homology_dims's
+from a ChainComplex and simplicial's straight from checked masks, and makes
+them rows with _field_rows, the one row builder, which rank uses as well.
+The Hochster oracle hands its own rows to _eliminate, so Matrix and
+ChainComplex are built only for callers that ask for one.
 """
 
 from __future__ import annotations
@@ -203,18 +203,18 @@ def _eliminate(rows: list[dict[int, int]], p: int, pivot_rows: set[int] | None =
 def rank(m: Matrix, field: Field = QQ) -> int:
     """Rank of m over the field.  Exact in both characteristics."""
     p = field.characteristic
-    return _eliminate(_field_rows(m, p), p)
+    return _eliminate(_field_rows(m.nrows, m.entries, p), p)
 
 
-def _field_rows(m: Matrix, p: int, skip=()) -> list[dict[int, int]]:
-    """The rows of m as col -> value over the field of characteristic p,
-    values reduced mod p when p > 0, zeros and the columns in skip left
-    out."""
-    rows: list[dict[int, int]] = [{} for _ in range(m.nrows)]
-    for r, c, v in m.entries:
+def _field_rows(nrows: int, entries, p: int) -> list[dict[int, int]]:
+    """The nrows rows, as col -> value over the field of characteristic p,
+    of a matrix given by (row, col, value) entries, one per position:
+    values reduced mod p when p > 0, zeros left out."""
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for r, c, v in entries:
         if p:
             v %= p
-        if v and c not in skip:
+        if v:
             rows[r][c] = v
     return rows
 
@@ -316,20 +316,19 @@ def homology_dims(c: ChainComplex, field: Field = QQ) -> dict[int, int]:
     squares to zero, and that makes rank(boundary k+1) at most
     dims[k] - rank(boundary k).
     """
-    p = field.characteristic
 
-    def rows(k: int, skip) -> list[dict[int, int]]:
+    def entries(k: int, skip):
         m = c.boundaries.get(k)
-        return _field_rows(m, p, skip) if m is not None else []
+        return () if m is None else (e for e in m.entries if e[1] not in skip)
 
-    return _clearing_homology(c.dims, rows, p)
+    return _clearing_homology(c.dims, entries, field.characteristic)
 
 
-def _clearing_homology(dims: Mapping[int, int], rows, p: int) -> dict[int, int]:
+def _clearing_homology(dims: Mapping[int, int], entries, p: int) -> dict[int, int]:
     """dim H_k for every degree k in dims, in the order of dims, over the
-    field of characteristic p; rows(k, skip) gives the rows of boundary k
-    over that field (values reduced mod p when p > 0), with the columns in
-    skip left out, and [] when there is no boundary at k.
+    field of characteristic p; entries(k, skip) gives the integer entries
+    of boundary k, with the columns in skip left out (those kept may be
+    renumbered), and _field_rows makes them rows over the field.
 
     The boundaries are ranked from the highest degree down, and each one
     leaves out the columns the one above it pivoted on (clearing; see
@@ -340,7 +339,8 @@ def _clearing_homology(dims: Mapping[int, int], rows, p: int) -> dict[int, int]:
     cleared: dict[int, set[int]] = {}
     for k in sorted(dims, reverse=True):
         pivots: set[int] = set()
-        ranks[k] = _eliminate(rows(k, cleared.get(k, ())), p, pivots)
+        rows = _field_rows(dims.get(k - 1, 0), entries(k, cleared.get(k, ())), p)
+        ranks[k] = _eliminate(rows, p, pivots)
         cleared[k - 1] = pivots
     out: dict[int, int] = {}
     for k, size in dims.items():

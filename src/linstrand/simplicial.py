@@ -21,10 +21,11 @@ complex of X, so reduced and relative homology share one code path.
 The strand and the pair are both signed-drop complexes on a family of sets,
 one sorted mask tuple per degree, and those are checked and ranked on the
 masks themselves: _squares_vanish proves the boundaries compose to zero by
-the two paths each entry of the square has, and _mask_homology ranks rows
-made by _signed_drops.  Matrices and a ChainComplex, whose construction
-runs the generic product check, are made only when one is asked for
-(chain_complex, relative_chain_complex, StrandComplex.skeleton_complex).
+the two paths each entry of the square has, and _mask_homology hands the
+entries of _signed_drops, Matrix entries as they stand, to linalg's clearing
+loop.  Matrices and a ChainComplex, whose construction runs the generic
+product check, are made only when one is asked for (chain_complex,
+relative_chain_complex, StrandComplex.skeleton_complex).
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ class SimplicialPair:
 
 def _signed_drops(sources: tuple[int, ...], targets: tuple[int, ...]):
     """The signed-drop rule on masks: for each source set (a column) and each
-    vertex v of it whose removal lands on a target set (a row), yield
-    (row, col, (-1)**t, v), v being the t-th smallest vertex of the source
-    counting from 0.  Columns come in order, vertices ascending: each
-    source's set bits are taken lowest first, the sign flipping at each."""
+    vertex v of it whose removal lands on a target set (a row), yield the
+    Matrix entry (row, col, (-1)**t), v being the t-th smallest vertex of the
+    source (from 0) and the one vertex of source ^ target.  Columns come in
+    order, vertices ascending, the sign flipping at each set bit."""
     index = {t: i for i, t in enumerate(targets)}
     for col, f in enumerate(sources):
         rest = f
@@ -167,13 +168,12 @@ def _signed_drops(sources: tuple[int, ...], targets: tuple[int, ...]):
             rest ^= b
             row = index.get(f ^ b)
             if row is not None:
-                yield row, col, sign, b.bit_length() - 1
+                yield row, col, sign
             sign = -sign
 
 
 def _boundary_matrix(sources: tuple[int, ...], targets: tuple[int, ...]) -> Matrix:
-    entries = tuple((row, col, sign) for row, col, sign, _ in _signed_drops(sources, targets))
-    return Matrix(len(targets), len(sources), entries)
+    return Matrix(len(targets), len(sources), tuple(_signed_drops(sources, targets)))
 
 
 def chain_complex(x: SimplicialComplex, reduced: bool = False) -> ChainComplex:
@@ -249,24 +249,17 @@ def _squares_vanish(bases: dict[int, tuple[int, ...]]) -> None:
 
 def _mask_homology(bases: dict[int, tuple[int, ...]], f: Field) -> dict[int, int]:
     """homology_dims(_graded_chain_complex(bases), f), worked out on the
-    masks: the squares are checked by _squares_vanish, and each boundary's
-    rows come straight from _signed_drops, without building a Matrix."""
+    masks, with no Matrix: the squares are checked by _squares_vanish, and
+    each boundary's entries are _signed_drops of its sources not cleared."""
     _squares_vanish(bases)
-    p = f.characteristic
-    dims = _graded_dims(bases)
 
-    def rows(k: int, skip) -> list[dict[int, int]]:
-        if k - 1 not in dims:
-            return []
+    def entries(k: int, skip):
         sources = bases.get(k, ())
         if skip:
             sources = tuple(a for col, a in enumerate(sources) if col not in skip)
-        out: list[dict[int, int]] = [{} for _ in range(dims[k - 1])]
-        for row, col, sign, _ in _signed_drops(sources, bases.get(k - 1, ())):
-            out[row][col] = sign % p if p else sign
-        return out
+        return _signed_drops(sources, bases.get(k - 1, ()))
 
-    return _clearing_homology(dims, rows, p)
+    return _clearing_homology(_graded_dims(bases), entries, f.characteristic)
 
 
 def f_vector(p: SimplicialPair) -> tuple[int, ...]:

@@ -94,7 +94,8 @@ class StrandComplex:
         differentials[0] is empty by convention (nothing below level 0)."""
         m = self.level_masks
         return tuple(
-            tuple(StrandEntry._make(e) for e in _signed_drops(m[i], m[i - 1])) if i else () for i in range(len(m))
+            tuple(StrandEntry._make((r, c, s, (a[c] ^ b[r]).bit_length() - 1)) for r, c, s in _signed_drops(a, b))
+            for a, b in zip(m, ((),) + m)
         )
 
     @property

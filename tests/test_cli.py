@@ -192,6 +192,34 @@ def test_verify_reports_a_skipped_check_as_skipped(capsys, tmp_path):
     assert "all checks passed" not in out
 
 
+def test_verify_skips_the_oracle_check_on_an_edgeless_instance(capsys, tmp_path):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"parts": [["a1", "a2"], ["b1", "b2"]], "edges": []}))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    skipped = [ch for ch in json.loads(out)["checks"] if ch["ok"] is None]
+    assert skipped == [{"name": "strand-ranks-match-oracle", "ok": None, "detail": "no edges, nothing to compare"}]
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "no check failed, 1 skipped"
+
+
+def test_verify_skips_the_strand_checks_when_the_strand_fails(capsys, monkeypatch):
+    from linstrand import ConsistencyError, StrandComplex
+
+    def failing(self):
+        raise ConsistencyError("boundaries at degrees 2 and 1 do not compose to zero")
+
+    monkeypatch.setattr(StrandComplex, "skeleton_complex", failing)
+    code, out, _ = run(capsys, "verify", path_of("six_of_eight_transversals.json"), "--format", "json")
+    assert code == 1
+    by_name = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+    assert by_name["differentials-compose-to-zero"]["ok"] is False
+    for name in ("strand-matches-relative-pair", "strand-ranks-match-oracle"):
+        assert by_name[name]["ok"] is None
+        assert by_name[name]["detail"]
+
+
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     from linstrand import cli
 
@@ -264,6 +292,37 @@ def test_unknown_edge_name_is_a_parse_error(capsys, tmp_path):
 def test_malformed_instance_shape_is_a_parse_error(capsys, tmp_path, instance):
     p = tmp_path / "shape.json"
     p.write_text(json.dumps(instance))
+    code, _, err = run(capsys, "covers", str(p))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("depth", [900, 100_000])
+def test_deeply_nested_labels_are_a_parse_error(capsys, tmp_path, depth):
+    # json.dumps cannot build the deeper one, so the text is written directly
+    p = tmp_path / "deep.json"
+    p.write_text('{"points": [[' + "[" * depth + "1" + "]" * depth + ', "x"]]}')
+    code, out, err = run(capsys, "covers", str(p))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[False, "x"], [0, "y"]],
+        [[True, "x"]],
+        [[None, "x"]],
+        [[[1, [None]], "x"]],
+    ],
+    ids=["false", "true", "null", "nested-null"],
+)
+def test_json_literals_are_not_point_labels(capsys, tmp_path, points):
+    with pytest.raises(InstanceFormatError, match="point labels must be strings, numbers or lists of them"):
+        instance_from_dict({"points": points})
+    p = tmp_path / "literal.json"
+    p.write_text(json.dumps({"points": points}))
     code, _, err = run(capsys, "covers", str(p))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

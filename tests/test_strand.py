@@ -129,8 +129,8 @@ def test_flipping_every_sign_of_the_shared_rule_is_caught(monkeypatch):
     original = simplicial._signed_drops
 
     def flipped(sources, targets):
-        for row, col, sign, v in original(sources, targets):
-            yield row, col, -sign, v
+        for row, col, sign in original(sources, targets):
+            yield row, col, -sign
 
     monkeypatch.setattr(simplicial, "_signed_drops", flipped)
     monkeypatch.setattr(strand, "_signed_drops", flipped)
