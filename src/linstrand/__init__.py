@@ -25,7 +25,6 @@ from .ideals import (
     alexander_dual,
     check_admissible,
     edge_ideal,
-    find_admissible_sequence,
     linkage_ideal,
     parts_sequence,
     squarefree_colon,

@@ -128,9 +128,10 @@ def _canonical_family(
 class VertexTable:
     """Ordered vertex names, optionally with a part label per vertex.
 
-    ``parts[v]`` is the part index of vertex v.  Part indices must be exactly
-    0..d-1 with every part nonempty; parts need not be contiguous blocks of
-    the order (restriction can interleave them).
+    ``parts[v]`` is the part index of vertex v.  Part indices must be ints,
+    exactly 0..d-1 with every part nonempty (a bool or a float raises
+    ValueError); parts need not be contiguous blocks of the order
+    (restriction can interleave them).
     """
 
     names: tuple[str, ...]
@@ -146,9 +147,11 @@ class VertexTable:
             object.__setattr__(self, "parts", tuple(self.parts))
             if len(self.parts) != len(self.names):
                 raise ValueError("one part index per vertex")
-            seen = set(self.parts)
             if not self.names:
                 raise ValueError("a partitioned table needs at least one vertex")
+            if set(map(type, self.parts)) != {int}:
+                raise ValueError("part indices must be ints")
+            seen = set(self.parts)
             if seen != set(range(max(seen) + 1)):
                 raise ValueError("part indices must be 0..d-1 with no gaps")
         object.__setattr__(self, "_by_name", {n: i for i, n in enumerate(self.names)})
@@ -339,6 +342,8 @@ def _on_subset(c: Clutter, w: frozenset[int], edges: Iterable[frozenset[int]]) -
 
 
 def _freeze(x):
+    if isinstance(x, bool):
+        raise ValueError(f"point label {x!r} is a bool, which would pass for {int(x)}")
     if isinstance(x, (list, tuple)):
         return tuple(_freeze(y) for y in x)
     return x
@@ -350,7 +355,8 @@ def from_point_configuration(points: Sequence[Sequence[object]]) -> Clutter:
     Coordinate i of each point is a label; distinct labels seen in coordinate
     i, in order of first appearance, become the vertices of part i.  Each
     point becomes the edge of its labels; duplicate points collapse to one
-    edge.  Labels may be nested lists (they are compared structurally).
+    edge.  Labels may be nested lists (they are compared structurally); a
+    bool label, nested or not, raises ValueError, since True == 1.
     """
     if not points:
         raise ValueError("need at least one point")

@@ -6,6 +6,8 @@ of hanging.  The guard is a keyword argument on those entry points; this
 module only fixes the default and the exception types.
 """
 
+__all__ = ["SizeGuardError", "ConsistencyError"]
+
 DEFAULT_MAX_VERTICES = 24
 
 

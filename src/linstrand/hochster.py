@@ -70,21 +70,6 @@ class BettiTable:
             graded[key] = graded.get(key, 0) + v
         object.__setattr__(self, "graded", graded)
 
-    def multigraded_value(self, i: int, sigma: frozenset[int]) -> int:
-        return self.multigraded.get((i, frozenset(sigma)), 0)
-
-    def projective_dimension(self) -> int:
-        return max((i for i, _ in self.graded), default=0)
-
-    def diagram_rows(self) -> dict[int, list[int]]:
-        """Rows of the Betti diagram: row r lists beta_{i, i+r} for
-        i = 0..projective dimension."""
-        pd = self.projective_dimension()
-        rows: dict[int, list[int]] = {}
-        for (i, j), v in self.graded.items():
-            rows.setdefault(j - i, [0] * (pd + 1))[i] = v
-        return {r: rows[r] for r in sorted(rows)}
-
     def is_linear(self) -> bool:
         d = self.min_degree
         return all(j == i + d for (i, j) in self.graded)

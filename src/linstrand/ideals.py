@@ -38,7 +38,6 @@ __all__ = [
     "parts_sequence",
     "linkage_ideal",
     "squarefree_colon",
-    "find_admissible_sequence",
 ]
 
 
@@ -243,48 +242,3 @@ def squarefree_colon(
             else:
                 minimal.append(s)
     return _frozen(minimal)
-
-
-def find_admissible_sequence(i: SquarefreeIdeal, max_vertices: int = 12) -> AdmissibleSequence | None:
-    """Search for an admissible sequence by backtracking over assignments of
-    vertices to the d supports.  Convenience only (the strand pipeline takes
-    a declared sequence); exhaustive, so gated to small n.  Returns the first
-    find in scan order, or None.
-    """
-    from .errors import check_vertex_guard
-
-    check_vertex_guard(i.vertices.n, max_vertices)
-    if i.is_zero:
-        return None
-    d = i.min_degree
-    n = i.vertices.n
-    gens = i.generators
-    assignment: list[int] = []
-
-    def feasible(upto: int) -> bool:
-        # every generator must still be able to meet every support
-        for g in gens:
-            for k in range(d):
-                if any(v < upto and assignment[v] == k for v in g):
-                    continue
-                if not any(v >= upto for v in g):
-                    return False
-        return True
-
-    def extend(v: int) -> AdmissibleSequence | None:
-        if v == n:
-            sups = [frozenset(u for u in range(n) if assignment[u] == k) for k in range(d)]
-            if any(not s for s in sups):
-                return None
-            seq = AdmissibleSequence(tuple(sups))
-            return seq if check_admissible(i, seq).ok else None
-        for k in list(range(d)) + [-1]:
-            assignment.append(k)
-            if feasible(v + 1):
-                found = extend(v + 1)
-                if found is not None:
-                    return found
-            assignment.pop()
-        return None
-
-    return extend(0)

@@ -119,10 +119,6 @@ class Matrix:
     def from_entries(nrows: int, ncols: int, items: Iterable[tuple[int, int, int]]) -> "Matrix":
         return Matrix(nrows, ncols, tuple((r, c, v) for r, c, v in items if v != 0))
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix(nrows, ncols, ())
-
     def transpose(self) -> "Matrix":
         return Matrix(self.ncols, self.nrows, tuple((c, r, v) for r, c, v in self.entries))
 
@@ -132,9 +128,6 @@ class Matrix:
             raise ValueError("shape mismatch in composition")
         entries = ((r, c, v) for r, acc in _product_rows(self, other) for c, v in sorted(acc.items()))
         return Matrix.from_entries(self.nrows, other.ncols, entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 def _eliminate(rows: list[dict[int, int]], p: int, pivot_rows: set[int] | None = None) -> int:
@@ -254,15 +247,6 @@ class ChainComplex:
     @property
     def boundaries(self) -> Mapping[int, Matrix]:
         return self._boundaries
-
-    def degrees(self) -> list[int]:
-        return sorted(self.dims)
-
-    def boundary(self, k: int) -> Matrix:
-        m = self.boundaries.get(k)
-        if m is not None:
-            return m
-        return Matrix.zero(self.dims.get(k - 1, 0), self.dims.get(k, 0))
 
 
 def _product_rows(a: Matrix, b: Matrix):

@@ -20,8 +20,8 @@ A StrandComplex stores one sorted tuple of int bitmasks per level, as the
 pair stores its faces; levels and differentials are made on first read, and
 the pair's signed-drop rule and chain builder serve both (simplicial).
 first_linear_strand checks its squares, and strand_homology_at ranks, on
-the masks; no route here builds a matrix unless skeleton or
-skeleton_complex is asked for one.
+the masks; no route here builds a matrix unless skeleton_complex is asked
+for one.
 
 The basis is grown from the edges: level 0 is the edges of c (a transversal
 is independent in the complement exactly when it is an edge of c), and level
@@ -45,10 +45,9 @@ from typing import NamedTuple
 
 from .clutters import Clutter, VertexTable, _in_table, _mask, _members, d_partite_complement
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
-from .linalg import ChainComplex, Field, Matrix, QQ
+from .linalg import ChainComplex, Field, QQ
 from .simplicial import (
     SimplicialPair,
-    _boundary_matrix,
     _graded_chain_complex,
     _mask_homology,
     _signed_drops,
@@ -107,13 +106,6 @@ class StrandComplex:
 
     def length(self) -> int:
         return len(self.level_masks)
-
-    def skeleton(self, i: int) -> Matrix:
-        """The scalar matrix of the level-i differential (monomials replaced
-        by their signs)."""
-        if not 1 <= i < self.length():
-            raise ValueError(f"no differential at level {i}")
-        return _boundary_matrix(self.level_masks[i], self.level_masks[i - 1])
 
     def skeleton_complex(self) -> ChainComplex:
         """All scalar matrices as a chain complex over the level index;

@@ -44,6 +44,16 @@ def test_vertex_table_rejects_gappy_parts():
         VertexTable(("x", "y"), (0, 2))
 
 
+@pytest.mark.parametrize(
+    "names, parts",
+    [(("a",), (0.0,)), (("a", "b"), (0, 1.0)), (("a", "b"), (False, True)), (("a", "b", "c"), (1, True, 0))],
+    ids=["float", "float-after-int", "bools", "bool-equal-to-an-int"],
+)
+def test_vertex_table_part_indices_must_be_ints(names, parts):
+    with pytest.raises(ValueError, match="part indices must be ints"):
+        VertexTable(names, parts)
+
+
 def test_clutter_rejects_containment():
     t = VertexTable(("x", "y", "z"), None)
     with pytest.raises(ValueError):
@@ -248,6 +258,17 @@ def test_point_configuration_dedupes_repeated_points():
 def test_point_configuration_rejects_ragged_input():
     with pytest.raises(ValueError):
         from_point_configuration([[1, 2], [1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[True, "x"], [1, "y"]], [[[1, [False]], "x"], [[1, [0]], "y"]]],
+    ids=["top-level", "nested"],
+)
+def test_point_configuration_rejects_bool_labels(points):
+    # True == 1 and False == 0, so a bool label would merge with an int one
+    with pytest.raises(ValueError, match="is a bool"):
+        from_point_configuration(points)
 
 
 def test_complete_clutter_has_all_transversals():

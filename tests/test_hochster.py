@@ -34,7 +34,7 @@ def test_koszul_complex_of_three_variables():
     bt = betti_table(i, QQ)
     assert bt.graded == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
     assert bt.is_linear()
-    assert bt.projective_dimension() == 2
+    assert max(k for k, _ in bt.graded) == 2
 
 
 def test_complete_intersection_of_two_quadrics():
@@ -49,7 +49,7 @@ def test_path_on_three_vertices():
     bt = betti_table(i, QQ)
     assert bt.graded == {(0, 2): 2, (1, 3): 1}
     assert bt.is_linear()
-    assert bt.diagram_rows() == {2: [2, 1]}
+    assert {j - k for k, j in bt.graded} == {2}
 
 
 def test_generators_appear_as_degree_zero_betti_numbers():
@@ -62,7 +62,7 @@ def test_generators_appear_as_degree_zero_betti_numbers():
         zero_degrees = {sigma for (k, sigma) in bt.multigraded if k == 0}
         assert zero_degrees == set(i.generators), f"seed {seed}"
         for g in i.generators:
-            assert bt.multigraded_value(0, g) == 1
+            assert bt.multigraded.get((0, g), 0) == 1
 
 
 def test_multidegrees_are_large_enough():
@@ -166,7 +166,7 @@ def test_every_entry_point_reads_the_same_kernel(f):
         bt = betti_table(i, f)
         for sigma in all_subsets(n):
             for k in range(-1, n + 1):
-                expected = 1 if (k, sigma) == (-1, frozenset()) else bt.multigraded_value(k, sigma)
+                expected = 1 if (k, sigma) == (-1, frozenset()) else bt.multigraded.get((k, sigma), 0)
                 assert multigraded_betti(i, k, sigma, f) == expected, f"{label}: beta_{k},{sorted(sigma)}"
         d = i.min_degree
         graded, multigraded = linear_strand_betti(i, f)

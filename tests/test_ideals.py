@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linstrand import (
+    GF2,
+    QQ,
     AdmissibleSequence,
     Clutter,
     SquarefreeIdeal,
@@ -11,10 +15,13 @@ from linstrand import (
     d_partite_complement,
     edge_ideal,
     ferrers_clutter,
-    find_admissible_sequence,
+    first_linear_strand,
+    gf,
+    linear_strand_betti,
     linkage_ideal,
     minimal_vertex_covers,
     parts_sequence,
+    random_clutter,
     squarefree_colon,
     strand_clutter,
 )
@@ -133,6 +140,42 @@ def test_parts_sequence_is_admissible_for_edge_ideals():
         assert back.edge_set() == c.edge_set()
 
 
+@st.composite
+def ideals_over_a_clutter(draw):
+    """A clutter c (n <= 10, some part of two vertices or more) and the
+    ideal of its edges plus one to four extra generators of degree d + 1 or
+    d + 2 that meet every part, contain no edge of c and form an antichain.
+
+    Each extra is a transversal plus one or two vertices outside it, kept
+    when it is not comparable with one kept before; c is a random clutter
+    less the edges inside some extra."""
+    shapes = st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda sizes: len(sizes) < sum(sizes) <= 10)
+    sizes = draw(shapes)
+    c = random_clutter(sizes, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
+    extras: list[frozenset[int]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = frozenset(draw(st.sampled_from(sorted(p))) for p in c.part_sets())
+        g = t | draw(st.frozensets(st.sampled_from(sorted(set(range(c.n)) - t)), min_size=1, max_size=2))
+        if not any(g <= h or h <= g for h in extras):
+            extras.append(g)
+    edges = tuple(e for e in c.edges if not any(e <= g for g in extras))
+    assume(edges)
+    return Clutter(c.vertices, edges), SquarefreeIdeal(c.vertices, edges + tuple(extras))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals_over_a_clutter(), st.sampled_from((QQ, GF2, gf(3))))
+def test_strand_clutter_has_the_linear_strand_of_the_ideal(case, f):
+    """Generators of degree above d leave the linear strand alone: the ideal's
+    oracle diagonal is the strand of its strand clutter, graded and
+    multigraded."""
+    c, i = case
+    s = first_linear_strand(strand_clutter(i, parts_sequence(c)))
+    graded, multigraded = linear_strand_betti(i, f)
+    assert graded == dict(enumerate(s.ranks()))
+    assert multigraded == {(k, a): 1 for k, level in enumerate(s.levels) for a in level}
+
+
 def test_linkage_ideal_is_the_complement_edge_ideal():
     c = ferrers_clutter([2, 1])
     link = linkage_ideal(c)
@@ -161,25 +204,3 @@ def test_colon_can_be_the_unit_ideal():
 def test_colon_of_the_zero_sequence_is_zero():
     assert squarefree_colon([], (frozenset({0}),), 2) == ()
 
-
-def test_find_admissible_sequence_on_partitioned_input():
-    c = complete_clutter([2, 2])
-    seq = find_admissible_sequence(edge_ideal(c))
-    assert seq is not None
-    assert check_admissible(edge_ideal(c), seq).ok
-
-
-def test_find_admissible_sequence_fails_on_triangle():
-    # the triangle x1x2, x1x3, x2x3 admits no two disjoint covering supports
-    t = names(3)
-    i = SquarefreeIdeal(t, (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})))
-    assert find_admissible_sequence(i) is None
-
-
-def test_find_admissible_sequence_respects_guard():
-    from linstrand import SizeGuardError
-
-    t = names(14)
-    i = SquarefreeIdeal(t, (frozenset({0, 1}),))
-    with pytest.raises(SizeGuardError):
-        find_admissible_sequence(i, max_vertices=12)

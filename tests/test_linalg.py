@@ -57,7 +57,7 @@ def test_matrix_validation():
 def test_rank_small_examples():
     m = Matrix.from_entries(2, 3, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4), (1, 2, 1)])
     assert rank(m, QQ) == 2
-    assert rank(Matrix.zero(4, 7), QQ) == 0
+    assert rank(Matrix(4, 7, ()), QQ) == 0
     ident = Matrix.from_entries(3, 3, [(i, i, 1) for i in range(3)])
     assert rank(ident, QQ) == 3
 
@@ -114,7 +114,7 @@ def test_chain_complex_rejects_nonsquaring_boundary():
 def test_chain_complex_rejects_shape_mismatch():
     # malformed shapes are a caller error, unlike a nonvanishing square
     with pytest.raises(ValueError):
-        ChainComplex({0: 2, 1: 1}, {1: Matrix.zero(3, 1)})
+        ChainComplex({0: 2, 1: 1}, {1: Matrix(3, 1, ())})
 
 
 def test_homology_of_a_circle():
@@ -259,7 +259,7 @@ def test_chain_complex_accepts_cancelling_products():
     # every product entry is a sum of two terms that cancel
     a = Matrix.from_entries(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 2)])
     b = Matrix.from_entries(2, 3, [(0, 0, 1), (1, 0, -1), (0, 2, 3), (1, 2, -3)])
-    assert a.compose(b).is_zero()
+    assert a.compose(b).entries == ()
     c = ChainComplex({0: 2, 1: 2, 2: 3}, {1: a, 2: b})
     assert homology_dims(c, QQ) == {0: 1, 1: 0, 2: 2}
 
@@ -270,7 +270,7 @@ def test_chain_complex_mappings_are_read_only():
     with pytest.raises(TypeError):
         c.dims[1] = 3
     with pytest.raises(TypeError):
-        c.boundaries[1] = Matrix.zero(1, 2)
+        c.boundaries[1] = Matrix(1, 2, ())
     with pytest.raises(TypeError):
         del c.boundaries[1]
     with pytest.raises(AttributeError):
@@ -322,11 +322,12 @@ def strand_complex_at(s, b: frozenset[int]) -> ChainComplex:
     """The strand at the multidegree b, cut out of its skeletons: the rows
     and columns of the basis sets inside b, renumbered in order."""
     keep = [[j for j, a in enumerate(level) if a <= b] for level in s.levels]
+    skeletons = s.skeleton_complex().boundaries
     boundaries = {}
     for i in range(1, s.length()):
         rows = {j: r for r, j in enumerate(keep[i - 1])}
         cols = {j: col for col, j in enumerate(keep[i])}
-        entries = [(rows[r], cols[col], v) for r, col, v in s.skeleton(i).entries if r in rows and col in cols]
+        entries = [(rows[r], cols[col], v) for r, col, v in skeletons[i].entries if r in rows and col in cols]
         boundaries[i] = Matrix.from_entries(len(rows), len(cols), entries)
     return ChainComplex({i: len(k) for i, k in enumerate(keep)}, boundaries)
 
