@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .clutters import Clutter, VertexTable, d_partite_complement, from_point_configuration, minimal_vertex_covers
-from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, SizeGuardError
+from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, SizeGuardError, check_vertex_guard
 from .hochster import betti_table, linear_strand_betti
 from .ideals import alexander_dual, edge_ideal, squarefree_colon
 from .linalg import Field, QQ, homology_dims
@@ -50,12 +50,10 @@ def load_instance(path: str) -> Clutter:
     return instance_from_dict(data)
 
 
-def _is_label(x: object) -> bool:
-    """A JSON string or number (not true or false, which pass for 1 and 0), or a list of labels."""
-    return all(map(_is_label, x)) if isinstance(x, list) else type(x) in (str, int, float)
-
-
 def instance_from_dict(data: object) -> Clutter:
+    """The clutter of a decoded JSON instance.  Only the JSON shape is
+    checked here; the library checks the values, and its ValueError comes
+    back as InstanceFormatError."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object")
     has_parts = "parts" in data or "edges" in data
@@ -63,17 +61,12 @@ def instance_from_dict(data: object) -> Clutter:
     if has_parts and has_points:
         raise InstanceFormatError("give either parts+edges or points, not both")
     if has_points:
-        points = data["points"]
-        if not isinstance(points, list) or not points or not all(isinstance(p, list) for p in points):
-            raise InstanceFormatError("points must be a nonempty list of rows, each a list of labels")
         try:
-            if _is_label(points):
-                return from_point_configuration(points)
+            return from_point_configuration(data["points"])
         except RecursionError:
             raise InstanceFormatError("point labels nest too deeply") from None
         except ValueError as e:
             raise InstanceFormatError(str(e)) from None
-        raise InstanceFormatError("point labels must be strings, numbers or lists of them")
     if not ("parts" in data and "edges" in data):
         raise InstanceFormatError("instance needs both parts and edges (or points)")
     parts, edges = data["parts"], data["edges"]
@@ -81,18 +74,13 @@ def instance_from_dict(data: object) -> Clutter:
         raise InstanceFormatError("parts must be a list of lists of names")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise InstanceFormatError("edges must be a list of lists of names")
-    if not all(isinstance(name, str) for e in edges for name in e):
-        raise InstanceFormatError("edge names must be strings")
     names: list[str] = []
     part_ids: list[int] = []
     for i, p in enumerate(parts):
         if not p:
             raise InstanceFormatError(f"part {i} is empty")
-        for name in p:
-            if not isinstance(name, str):
-                raise InstanceFormatError("vertex names must be strings")
-            names.append(name)
-            part_ids.append(i)
+        names.extend(p)
+        part_ids.extend([i] * len(p))
     try:
         table = VertexTable(tuple(names), tuple(part_ids))
         return Clutter(table, tuple(table.resolve(e) for e in edges))
@@ -342,13 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, lines = args.handler(load_instance(args.instance), args)
+        c = load_instance(args.instance)
+        # handlers still pass max_vertices on, so a raised limit reaches the library
+        check_vertex_guard(c.n, args.max_vertices)
+        payload, lines = args.handler(c, args)
     except SizeGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except InstanceFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ConsistencyError as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return 1

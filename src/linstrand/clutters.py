@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -50,8 +49,8 @@ def _part_letter(i: int) -> str:
 
 def _in_table(s: Iterable[int], n: int) -> bool:
     """Whether every member of s is a vertex of an n-vertex table, an int in
-    0..n-1."""
-    return all(isinstance(v, int) and 0 <= v < n for v in s)
+    0..n-1 (not a bool, which would pass for 0 or 1)."""
+    return all(type(v) is int and 0 <= v < n for v in s)
 
 
 def _mask(s: Iterable[int]) -> int:
@@ -128,10 +127,10 @@ def _canonical_family(
 class VertexTable:
     """Ordered vertex names, optionally with a part label per vertex.
 
-    ``parts[v]`` is the part index of vertex v.  Part indices must be ints,
-    exactly 0..d-1 with every part nonempty (a bool or a float raises
-    ValueError); parts need not be contiguous blocks of the order
-    (restriction can interleave them).
+    Names must be distinct nonempty strings.  ``parts[v]`` is the part index
+    of vertex v.  Part indices must be ints, exactly 0..d-1 with every part
+    nonempty (a bool or a float raises ValueError); parts need not be
+    contiguous blocks of the order (restriction can interleave them).
     """
 
     names: tuple[str, ...]
@@ -139,6 +138,8 @@ class VertexTable:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
+        if not all(isinstance(n, str) for n in self.names):
+            raise ValueError("vertex names must be strings")
         if len(set(self.names)) != len(self.names):
             raise ValueError("vertex names must be distinct")
         if any(not n for n in self.names):
@@ -175,7 +176,7 @@ class VertexTable:
     def index(self, name: str) -> int:
         try:
             return self._by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError(f"unknown vertex name {name!r}") from None
 
     def resolve(self, names: Iterable[str]) -> frozenset[int]:
@@ -183,9 +184,6 @@ class VertexTable:
 
     def label(self, s: Iterable[int]) -> str:
         return "{" + ",".join(self.names[v] for v in sorted(s)) + "}"
-
-    def without_parts(self) -> "VertexTable":
-        return VertexTable(self.names, None) if self.parts is not None else self
 
     def restricted(self, w: frozenset[int]) -> "VertexTable":
         """Sub-table on w, order inherited.  Surviving parts are renumbered
@@ -324,11 +322,13 @@ def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
     """
     if c.vertices.parts is None:
         raise ValueError("ranked projection needs a partitioned clutter")
-    chosen = sorted(set(parts))
-    if not chosen:
+    parts = tuple(parts)
+    if not parts:
         raise ValueError("need at least one part")
-    if not all(0 <= p < c.vertices.d for p in chosen):
+    # checked before deduplication, which would merge True into 1
+    if not all(type(p) is int and 0 <= p < c.vertices.d for p in parts):
         raise ValueError("part index out of range")
+    chosen = sorted(set(parts))
     w = frozenset(v for p in chosen for v in c.vertices.part_members(p))
     # every image has one vertex in each chosen part, so none contains another
     return _on_subset(c, w, {e & w for e in c.edges})
@@ -341,12 +341,18 @@ def _on_subset(c: Clutter, w: frozenset[int], edges: Iterable[frozenset[int]]) -
     return Clutter(c.vertices.restricted(w), tuple(frozenset(renum[v] for v in e) for e in edges))
 
 
+_LABELS = "point labels must be strings, numbers or lists of them"
+
+
 def _freeze(x):
-    if isinstance(x, bool):
-        raise ValueError(f"point label {x!r} is a bool, which would pass for {int(x)}")
+    """A point label as a hashable value, lists and tuples becoming tuples."""
     if isinstance(x, (list, tuple)):
         return tuple(_freeze(y) for y in x)
-    return x
+    if type(x) in (str, int, float):
+        return x
+    if isinstance(x, bool):
+        raise ValueError(f"{_LABELS}: point label {x!r} is a bool, which would pass for {int(x)}")
+    raise ValueError(_LABELS)
 
 
 def from_point_configuration(points: Sequence[Sequence[object]]) -> Clutter:
@@ -355,11 +361,13 @@ def from_point_configuration(points: Sequence[Sequence[object]]) -> Clutter:
     Coordinate i of each point is a label; distinct labels seen in coordinate
     i, in order of first appearance, become the vertices of part i.  Each
     point becomes the edge of its labels; duplicate points collapse to one
-    edge.  Labels may be nested lists (they are compared structurally); a
-    bool label, nested or not, raises ValueError, since True == 1.
+    edge.  Points are a nonempty list or tuple of rows, each a list or tuple.
+    Labels are strings, ints and floats, or lists or tuples of labels
+    (compared structurally); anything else raises ValueError, a bool too,
+    nested or not, since True == 1.
     """
-    if not points:
-        raise ValueError("need at least one point")
+    if not isinstance(points, (list, tuple)) or not points or not all(isinstance(p, (list, tuple)) for p in points):
+        raise ValueError("points must be a nonempty list of rows, each a list of labels")
     rows = [tuple(_freeze(x) for x in p) for p in points]
     d = len(rows[0])
     if d == 0:
@@ -380,9 +388,17 @@ def from_point_configuration(points: Sequence[Sequence[object]]) -> Clutter:
     return Clutter(table, tuple(edges))
 
 
+def _positive_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as a nonempty tuple of positive ints; ValueError otherwise, for
+    a bool or an integral float too (True == 1, 2.0 == 2)."""
+    t = tuple(values)
+    if not t or not all(type(x) is int and x > 0 for x in t):
+        raise ValueError(f"{what} must be positive ints")
+    return t
+
+
 def _partitioned_table(part_sizes: Sequence[int]) -> VertexTable:
-    if not part_sizes or any(s < 1 for s in part_sizes):
-        raise ValueError("part sizes must be positive")
+    """The table of parts of the given sizes, each a positive int."""
     names: list[str] = []
     parts: list[int] = []
     for i, s in enumerate(part_sizes):
@@ -410,7 +426,8 @@ def complete_clutter(part_sizes: Sequence[int]) -> Clutter:
     from a set, which sizes the frozenset's table for its members; built
     straight from a tuple, a frozenset of five or more members gets twice
     that table (728 bytes rather than 472 at five)."""
-    return _complete_clutter(tuple(operator.index(s) for s in part_sizes))
+    # checked before the cache, where (True, 2) and (1, 2) are one key
+    return _complete_clutter(_positive_ints(part_sizes, "part sizes"))
 
 
 @functools.lru_cache(maxsize=_COMPLETE_CACHE_SHAPES)
@@ -423,11 +440,9 @@ def _complete_clutter(part_sizes: tuple[int, ...]) -> Clutter:
 def ferrers_clutter(row_lengths: Sequence[int]) -> Clutter:
     """The bipartite clutter of a Ferrers diagram: edge (a_i, b_j) iff j < row i.
 
-    Row lengths must be weakly decreasing and positive.
+    Row lengths must be positive ints, weakly decreasing.
     """
-    lam = tuple(row_lengths)
-    if not lam or any(x < 1 for x in lam):
-        raise ValueError("row lengths must be positive")
+    lam = _positive_ints(row_lengths, "row lengths")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError("row lengths must be weakly decreasing")
     table = _partitioned_table([len(lam), lam[0]])

@@ -17,8 +17,8 @@ class SizeGuardError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed (negative homology rank, nonzero square
-    of a boundary, a degree-d generator that is not a transversal).  These
-    indicate a bug or inconsistent input, never a routine error."""
+    of a boundary).  These indicate a bug or inconsistent input, never a
+    routine error."""
 
 
 def check_vertex_guard(n: int, max_vertices: int) -> None:

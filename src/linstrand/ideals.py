@@ -22,10 +22,10 @@ from .clutters import (
     _frozen,
     _in_table,
     _mask,
+    _minimal_cover_masks,
     d_partite_complement,
-    minimal_vertex_covers,
 )
-from .errors import ConsistencyError
+from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 
 __all__ = [
     "SquarefreeIdeal",
@@ -65,13 +65,6 @@ class SquarefreeIdeal:
             raise ValueError("the zero ideal has no generator degree")
         return min(len(g) for g in self.generators)
 
-    def as_clutter(self) -> Clutter:
-        """The clutter of generator supports.  The partition (if any) is
-        dropped: generators of mixed degrees need not be transversals."""
-        if self.is_zero:
-            raise ValueError("the zero ideal has no clutter of generators")
-        return Clutter(self.vertices.without_parts(), self.generators)
-
 
 def edge_ideal(c: Clutter) -> SquarefreeIdeal:
     return SquarefreeIdeal(c.vertices, c.edges)
@@ -80,8 +73,9 @@ def edge_ideal(c: Clutter) -> SquarefreeIdeal:
 def alexander_dual(i: SquarefreeIdeal) -> SquarefreeIdeal:
     """The ideal generated by the minimal vertex covers of the generator
     supports.  An involution on nonzero squarefree ideals."""
-    covers = minimal_vertex_covers(i.as_clutter())
-    return SquarefreeIdeal(i.vertices, covers)
+    if i.is_zero:
+        raise ValueError("the zero ideal has no Alexander dual")
+    return SquarefreeIdeal(i.vertices, _frozen(_minimal_cover_masks(i.generators)))
 
 
 @dataclass(frozen=True)
@@ -148,10 +142,9 @@ def strand_clutter(i: SquarefreeIdeal, seq: AdmissibleSequence) -> Clutter:
     union of the sequence supports with one part per support.
 
     Every generator of degree d = len(seq) meets each of the d disjoint
-    covering supports, so it takes exactly one vertex from each and lies in
-    their union; that is re-checked and any violation (possible only on
-    inconsistent input) raises.  The edge ideal of the result shares its
-    first linear strand with i.
+    covering supports (check_admissible), so it takes exactly one vertex
+    from each and lies in their union.  The edge ideal of the result shares
+    its first linear strand with i.
     """
     report = check_admissible(i, seq)
     if not report.ok:
@@ -167,21 +160,8 @@ def strand_clutter(i: SquarefreeIdeal, seq: AdmissibleSequence) -> Clutter:
         tuple(i.vertices.names[v] for v in order),
         tuple(part_of[v] for v in order),
     )
-    d = seq.d
-    edges = []
-    for g in i.generators:
-        if len(g) != d:
-            continue
-        if not g <= w:
-            raise ConsistencyError(
-                f"degree-{d} generator {i.vertices.label(g)} escapes the sequence supports"
-            )
-        if len({part_of[v] for v in g}) != d:
-            raise ConsistencyError(
-                f"degree-{d} generator {i.vertices.label(g)} is not a transversal of the supports"
-            )
-        edges.append(frozenset(renum[v] for v in g))
-    return Clutter(table, tuple(edges))
+    edges = tuple(frozenset(renum[v] for v in g) for g in i.generators if len(g) == seq.d)
+    return Clutter(table, edges)
 
 
 def parts_sequence(c: Clutter) -> AdmissibleSequence:
@@ -215,8 +195,10 @@ def squarefree_colon(
     some part is contained in S union D, that is, iff S contains what the
     part has outside D.  Exponential in n; meant for checks and tests, so
     keep n small.  Membership only grows with S, so a member is minimal
-    exactly when dropping any one of its vertices leaves the colon.
+    exactly when dropping any one of its vertices leaves the colon.  Above
+    DEFAULT_MAX_VERTICES (24) it raises SizeGuardError before allocating.
     """
+    check_vertex_guard(n, DEFAULT_MAX_VERTICES)
     part_masks = tuple(_mask(p) for p in parts)
     # per dual generator D, each part less D
     needs = tuple(tuple(p & ~_mask(g) for p in part_masks) for g in dual_generators)

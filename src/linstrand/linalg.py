@@ -15,7 +15,7 @@ reduced against short basis rows stays short; any other integer matrix is
 ranked just as exactly, if with more fill-in.
 
 Validating a matrix normalises its entries, rejecting a value or an index
-that is not integral, sorts them (a linear pass when they already come
+that is a bool or not integral, sorts them (a linear pass when they come
 sorted) and checks each against the one before it.  Matrix.compose and the
 square-zero check of a chain complex share one row-by-row product, and the
 check stops at the first row of the product that is not zero.  Homology
@@ -97,6 +97,8 @@ class Matrix:
         for e in self.entries:
             r, c, v = e
             if type(e) is not tuple or type(r) is not int or type(c) is not int or type(v) is not int:
+                if bool in (type(r), type(c), type(v)):
+                    raise ValueError(f"bool in entry ({r!r},{c!r},{v!r})")
                 if v != int(v):
                     raise ValueError(f"non-integer entry {v!r} at ({r},{c})")
                 if r != int(r) or c != int(c):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linstrand
-from linstrand import Clutter
+from linstrand import Clutter, VertexTable, from_point_configuration
 from linstrand.cli import InstanceFormatError, dump_instance, instance_from_dict, load_instance, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -443,11 +443,30 @@ def test_any_json_value_loads_or_is_a_parse_error(data):
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
 
 
-def test_linear_honours_the_vertex_guard(capsys):
-    code, out, err = run(capsys, "linear", path_of("nine_edge_bipartite.json"), "--max-vertices", "3")
+@pytest.mark.parametrize("command", ["covers", "dual", "complement", "betti", "strand", "lyubeznik", "linear", "verify"])
+def test_every_subcommand_honours_the_vertex_guard(capsys, command):
+    code, out, err = run(capsys, command, path_of("nine_edge_bipartite.json"), "--max-vertices", "3")
     assert code == 3
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: 8 vertices exceeds the guard of 3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES, st.lists(JSON_VALUES, max_size=4))
+def test_the_library_refuses_any_json_value_with_a_value_error(value, names):
+    table = VertexTable(("a", "b", "c"), (0, 0, 1))
+    for call in (
+        lambda: from_point_configuration(value),
+        lambda: from_point_configuration([value]),
+        lambda: VertexTable(tuple(names)),
+        lambda: table.resolve(names),
+        lambda: table.resolve([value]),
+    ):
+        try:
+            call()
+        except ValueError:
+            pass
 
 
 def test_betti_rejects_a_negative_degree_cap(capsys):

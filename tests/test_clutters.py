@@ -54,6 +54,25 @@ def test_vertex_table_part_indices_must_be_ints(names, parts):
         VertexTable(names, parts)
 
 
+@pytest.mark.parametrize(
+    "names",
+    [(1, 2), ("a", ["b"]), ("a", None)],
+    ids=["ints", "unhashable", "null"],
+)
+def test_vertex_names_must_be_strings(names):
+    with pytest.raises(ValueError, match="vertex names must be strings"):
+        VertexTable(names, (0, 1))
+
+
+@pytest.mark.parametrize("name", [["a1"], {"a1": 1}, 1, None], ids=repr)
+def test_an_unknown_name_is_a_value_error(name):
+    t = complete_clutter([2, 2]).vertices
+    with pytest.raises(ValueError, match="unknown vertex name"):
+        t.index(name)
+    with pytest.raises(ValueError, match="unknown vertex name"):
+        t.resolve(["a1", name])
+
+
 def test_clutter_rejects_containment():
     t = VertexTable(("x", "y", "z"), None)
     with pytest.raises(ValueError):
@@ -84,7 +103,7 @@ def test_set_families_reject_bad_members(family_type, members, message):
 # each takes a vertex set s on the table of a partitioned clutter c
 TAKES_A_VERTEX_SET = {
     "Clutter": lambda c, s: Clutter(c.vertices, (s,)),
-    "unpartitioned-Clutter": lambda c, s: Clutter(c.vertices.without_parts(), (s,)),
+    "unpartitioned-Clutter": lambda c, s: Clutter(VertexTable(c.vertices.names), (s,)),
     "SquarefreeIdeal": lambda c, s: SquarefreeIdeal(c.vertices, (s,)),
     "restrict": restrict,
     "multigraded_betti": lambda c, s: multigraded_betti(edge_ideal(c), 1, s, QQ),
@@ -93,7 +112,7 @@ TAKES_A_VERTEX_SET = {
 }
 
 
-@pytest.mark.parametrize("vertex", [1.5, 1.0, "1", None], ids=repr)
+@pytest.mark.parametrize("vertex", [1.5, 1.0, True, "1", None], ids=repr)
 @pytest.mark.parametrize("entry", TAKES_A_VERTEX_SET)
 def test_a_vertex_that_is_not_an_int_is_refused(entry, vertex):
     # has_face answers no, as it does for a vertex number outside the table;
@@ -105,6 +124,12 @@ def test_a_vertex_that_is_not_an_int_is_refused(entry, vertex):
     else:
         with pytest.raises(ValueError, match="out of range"):
             TAKES_A_VERTEX_SET[entry](c, s)
+
+
+def test_has_face_does_not_take_a_bool_for_a_vertex():
+    x = SimplicialComplex(VertexTable(("x", "y")), (frozenset({0, 1}),))
+    assert x.has_face({1})
+    assert not x.has_face({True})
 
 
 @pytest.mark.parametrize("family_type", SET_FAMILIES, ids=lambda t: t.__name__)
@@ -271,6 +296,44 @@ def test_point_configuration_rejects_bool_labels(points):
         from_point_configuration(points)
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (5, "nonempty list of rows"),
+        ([], "nonempty list of rows"),
+        ([5], "nonempty list of rows"),
+        (["ab", "ac"], "nonempty list of rows"),
+        ([[{}]], "point labels must be strings, numbers or lists of them"),
+        ([[None, "x"]], "point labels must be strings, numbers or lists of them"),
+        ([[[1, [None]], "x"]], "point labels must be strings, numbers or lists of them"),
+    ],
+    ids=["number", "empty", "number-row", "string-rows", "dict-label", "null-label", "nested-null-label"],
+)
+def test_point_configuration_rejects_bad_shapes_and_labels(points, message):
+    with pytest.raises(ValueError, match=message):
+        from_point_configuration(points)
+
+
+def test_point_configuration_takes_tuples_and_nested_labels():
+    c = from_point_configuration(((1, ("x", 2.5)), [1, ["x", 2.5]], (2, ["y"])))
+    assert c.vertices.names == ("a1", "a2", "b1", "b2")
+    assert c.edges == (frozenset({0, 2}), frozenset({1, 3}))
+
+
+@pytest.mark.parametrize("sizes", [[2.5], [2.0], [True, 2], [2, 0], []], ids=repr)
+@pytest.mark.parametrize("build", [complete_clutter, ferrers_clutter], ids=lambda f: f.__name__)
+def test_part_sizes_must_be_positive_ints(build, sizes):
+    complete_clutter([1, 2])  # cached first: (True, 2) and (1, 2) are one cache key
+    with pytest.raises(ValueError, match="must be positive ints"):
+        build(sizes)
+
+
+@pytest.mark.parametrize("parts", [[0, 1.0], [True, 2], [1, True], [3], [-1]], ids=repr)
+def test_ranked_projection_takes_part_indices_only(parts):
+    with pytest.raises(ValueError, match="part index out of range"):
+        ranked_projection(complete_clutter([1, 2, 2]), parts)
+
+
 def test_complete_clutter_has_all_transversals():
     c = complete_clutter([2, 3])
     assert len(c.edges) == 6
@@ -312,7 +375,7 @@ def test_draws_of_one_shape_share_their_edges():
     assert complete.edges == tuple(sorted(transversals, key=lambda e: sorted(e)))
     with pytest.raises(ValueError):
         complete_clutter([2, 0])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="positive ints"):
         complete_clutter([2.0])
 
 

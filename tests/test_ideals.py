@@ -6,6 +6,7 @@ from linstrand import (
     GF2,
     QQ,
     AdmissibleSequence,
+    SizeGuardError,
     Clutter,
     SquarefreeIdeal,
     VertexTable,
@@ -199,6 +200,12 @@ def test_colon_can_be_the_unit_ideal():
     # whose only minimal squarefree multidegree is the empty one
     got = squarefree_colon([frozenset({0})], (frozenset({0, 1}),), 3)
     assert got == (frozenset(),)
+
+
+def test_colon_refuses_a_large_n_before_allocating():
+    # n = 25 would take 32 MiB and 2^25 passes; the guard answers at once
+    with pytest.raises(SizeGuardError):
+        squarefree_colon([frozenset({0})], (frozenset({0}),), 25)
 
 
 def test_colon_of_the_zero_sequence_is_zero():
