@@ -89,8 +89,6 @@ def instance_from_dict(data: object) -> Clutter:
 
 
 def dump_instance(c: Clutter) -> dict:
-    if c.vertices.parts is None:
-        raise ValueError("only partitioned clutters are serialized")
     t = c.vertices
     return {
         "parts": [[t.names[v] for v in t.part_members(i)] for i in range(t.d)],

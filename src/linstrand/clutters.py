@@ -9,11 +9,10 @@ VertexTable rather than being recomputed from names.  Inside the hot loops
 bitmask instead, bit v standing for vertex v; _mask and _members convert, and
 sorting masks by _members gives the same order as key=sorted on frozensets.
 
-A clutter may carry a partition of the vertices into d parts.  Partitioned
-clutters are d-partite d-uniform by construction: every edge takes exactly one
-vertex from each part.  Unpartitioned clutters are what arbitrary squarefree
-monomial ideals produce; partitioned ones are what the strand construction
-consumes.
+A Clutter always sits on a table that partitions its vertices into d parts,
+and is d-partite d-uniform by construction: every edge takes exactly one
+vertex from each part.  A general antichain of vertex sets is a
+SquarefreeIdeal (ideals), on a table with or without a partition.
 """
 
 from __future__ import annotations
@@ -185,35 +184,24 @@ class VertexTable:
     def label(self, s: Iterable[int]) -> str:
         return "{" + ",".join(self.names[v] for v in sorted(s)) + "}"
 
-    def restricted(self, w: frozenset[int]) -> "VertexTable":
-        """Sub-table on w, order inherited.  Surviving parts are renumbered
-        compactly in their original order; there is no partition when there
-        was none or when w is empty."""
-        order = sorted(w)
-        names = tuple(self.names[v] for v in order)
-        if self.parts is None or not order:
-            return VertexTable(names, None)
-        surviving = sorted({self.parts[v] for v in order})
-        renum = {p: i for i, p in enumerate(surviving)}
-        return VertexTable(names, tuple(renum[self.parts[v]] for v in order))
-
 
 @dataclass(frozen=True)
 class Clutter:
+    """A d-partite d-uniform clutter: edges on a partitioned vertex table,
+    each taking exactly one vertex from each of the d parts."""
+
     vertices: VertexTable
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        edges = _canonical_family(self.edges, self.vertices, "edge")
-        if self.vertices.parts is not None:
-            for e in edges:
-                counts = [0] * (self.vertices.d or 0)
-                for v in e:
-                    counts[self.vertices.parts[v]] += 1
-                if any(c != 1 for c in counts):
-                    raise ValueError(
-                        f"edge {self.vertices.label(e)} is not a transversal of the parts"
-                    )
+        t = self.vertices
+        if t.parts is None:
+            raise ValueError("a clutter needs a partitioned vertex table")
+        edges = _canonical_family(self.edges, t, "edge")
+        d = t.d
+        for e in edges:
+            if len(e) != d or len({t.parts[v] for v in e}) != d:
+                raise ValueError(f"edge {t.label(e)} is not a transversal of the parts")
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -221,20 +209,18 @@ class Clutter:
         return self.vertices.n
 
     @property
-    def d(self) -> int | None:
+    def d(self) -> int:
         return self.vertices.d
 
     def edge_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.edges)
 
     def part_sets(self) -> tuple[frozenset[int], ...]:
-        if self.vertices.parts is None:
-            raise ValueError("clutter has no partition")
-        return tuple(frozenset(self.vertices.part_members(i)) for i in range(self.vertices.d))
+        return tuple(frozenset(self.vertices.part_members(i)) for i in range(self.d))
 
     def complete_edges(self) -> tuple[frozenset[int], ...]:
         """All transversals of the partition, in canonical order."""
-        prod = itertools.product(*(self.vertices.part_members(i) for i in range(self.vertices.d)))
+        prod = itertools.product(*(self.vertices.part_members(i) for i in range(self.d)))
         return tuple(sorted((frozenset(t) for t in prod), key=sorted))
 
 
@@ -294,8 +280,6 @@ def independent_sets(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES):
 
 def d_partite_complement(c: Clutter) -> Clutter:
     """The clutter of all transversals of the partition that are not edges of c."""
-    if c.vertices.parts is None:
-        raise ValueError("complement needs a partitioned clutter")
     present = c.edge_set()
     edges = tuple(e for e in c.complete_edges() if e not in present)
     return Clutter(c.vertices, edges)
@@ -305,7 +289,8 @@ def restrict(c: Clutter, w: Iterable[int]) -> Clutter:
     """The subclutter of edges lying entirely inside w, on the vertex set w.
 
     Parts are renumbered over the parts that stay nonempty on w; if every part
-    meets w the part indices are unchanged.
+    meets w the part indices are unchanged.  An empty w raises ValueError: a
+    clutter's table has at least one vertex.
     """
     w = frozenset(w)
     if not _in_table(w, c.n):
@@ -320,13 +305,12 @@ def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
     vertex in each chosen part, so the projection is |parts|-partite uniform;
     duplicates collapse silently.
     """
-    if c.vertices.parts is None:
-        raise ValueError("ranked projection needs a partitioned clutter")
     parts = tuple(parts)
     if not parts:
         raise ValueError("need at least one part")
+    d = c.d
     # checked before deduplication, which would merge True into 1
-    if not all(type(p) is int and 0 <= p < c.vertices.d for p in parts):
+    if not all(type(p) is int and 0 <= p < d for p in parts):
         raise ValueError("part index out of range")
     chosen = sorted(set(parts))
     w = frozenset(v for p in chosen for v in c.vertices.part_members(p))
@@ -335,10 +319,15 @@ def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
 
 
 def _on_subset(c: Clutter, w: frozenset[int], edges: Iterable[frozenset[int]]) -> Clutter:
-    """The clutter of the given distinct subsets of w on the sub-table on w,
-    the vertices of w renumbered in order."""
-    renum = {v: i for i, v in enumerate(sorted(w))}
-    return Clutter(c.vertices.restricted(w), tuple(frozenset(renum[v] for v in e) for e in edges))
+    """The clutter of the given distinct subsets of w on the sub-table on w:
+    the vertices of w renumbered in order, and the parts that meet w
+    renumbered compactly in their original order."""
+    t = c.vertices
+    order = sorted(w)
+    renum = {v: i for i, v in enumerate(order)}
+    part_renum = {p: i for i, p in enumerate(sorted({t.parts[v] for v in order}))}
+    table = VertexTable(tuple(t.names[v] for v in order), tuple(part_renum[t.parts[v]] for v in order))
+    return Clutter(table, tuple(frozenset(renum[v] for v in e) for e in edges))
 
 
 _LABELS = "point labels must be strings, numbers or lists of them"
@@ -348,6 +337,8 @@ def _freeze(x):
     """A point label as a hashable value, lists and tuples becoming tuples."""
     if isinstance(x, (list, tuple)):
         return tuple(_freeze(y) for y in x)
+    if type(x) is float and x != x:
+        raise ValueError(f"{_LABELS}: point label nan is not equal to itself")
     if type(x) in (str, int, float):
         return x
     if isinstance(x, bool):
@@ -364,7 +355,7 @@ def from_point_configuration(points: Sequence[Sequence[object]]) -> Clutter:
     edge.  Points are a nonempty list or tuple of rows, each a list or tuple.
     Labels are strings, ints and floats, or lists or tuples of labels
     (compared structurally); anything else raises ValueError, a bool too,
-    nested or not, since True == 1.
+    nested or not, since True == 1, and a NaN float, which equals nothing.
     """
     if not isinstance(points, (list, tuple)) or not points or not all(isinstance(p, (list, tuple)) for p in points):
         raise ValueError("points must be a nonempty list of rows, each a list of labels")

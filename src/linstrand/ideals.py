@@ -165,8 +165,8 @@ def strand_clutter(i: SquarefreeIdeal, seq: AdmissibleSequence) -> Clutter:
 
 
 def parts_sequence(c: Clutter) -> AdmissibleSequence:
-    """The sequence of part products of a partitioned clutter; admissible for
-    its edge ideal by d-partiteness."""
+    """The sequence of part products of a clutter; admissible for its edge
+    ideal by d-partiteness."""
     return AdmissibleSequence(c.part_sets())
 
 

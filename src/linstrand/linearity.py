@@ -63,9 +63,7 @@ def is_linear(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> Linearity
     scatter, and no resolution to compare against).  The vertex guard fires
     before the transversals are listed.
     """
-    if c.vertices.parts is None:
-        raise ValueError("linearity test needs a partitioned clutter")
-    d = c.vertices.d
+    d = c.d
     if d == 1:
         return LinearityVerdict(True)
     check_vertex_guard(c.n, max_vertices)

@@ -293,8 +293,6 @@ def strand_support_pair(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     rather than assuming it.  The vertex guard fires before the complement is
     built, since listing every transversal is already exponential in d.
     """
-    if c.vertices.parts is None:
-        raise ValueError("need a partitioned clutter")
     check_vertex_guard(c.n, max_vertices)
     x = independent_sets(d_partite_complement(c), max_vertices=max_vertices)
     y = part_deficient_complex(c.vertices)

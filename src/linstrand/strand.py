@@ -71,13 +71,15 @@ class StrandEntry(NamedTuple):
 class StrandComplex:
     """Levels of basis-set masks, each level in canonical order.  The
     frozenset levels and the differentials are derived from the masks when
-    first read, so they cannot disagree with them."""
+    first read, so they cannot disagree with them.  The number of parts d is
+    the table's."""
 
-    d: int
     vertices: VertexTable
     level_masks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.vertices.parts is None:
+            raise ValueError("a strand needs a partitioned vertex table")
         n = self.vertices.n
         if any(type(a) is not int or a < 0 or a >> n for level in self.level_masks for a in level):
             raise ValueError("basis-set mask is not a set of vertices of the table")
@@ -100,6 +102,10 @@ class StrandComplex:
     @property
     def n(self) -> int:
         return self.vertices.n
+
+    @property
+    def d(self) -> int:
+        return self.vertices.d
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(map(len, self.level_masks))
@@ -132,8 +138,6 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     the one vertex of e outside a | {u} when there is just one; complement
     edges missing u gain nothing from it.
     """
-    if c.vertices.parts is None:
-        raise ValueError("the strand construction needs a partitioned clutter")
     check_vertex_guard(c.n, max_vertices)
     complement = [_mask(e) for e in d_partite_complement(c).edges]
     through = [[e for e in complement if e >> v & 1] for v in range(c.n)]
@@ -152,7 +156,7 @@ def first_linear_strand(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) ->
                 if s not in grown:
                     grown[s] = _blocked(s, through[b.bit_length() - 1], blocked)
         level = grown
-    strand = StrandComplex(c.vertices.d, c.vertices, tuple(levels))
+    strand = StrandComplex(c.vertices, tuple(levels))
     _squares_vanish(dict(enumerate(strand.level_masks)))
     return strand
 

@@ -315,8 +315,11 @@ def test_deeply_nested_labels_are_a_parse_error(capsys, tmp_path, depth):
         [[True, "x"]],
         [[None, "x"]],
         [[[1, [None]], "x"]],
+        # json.dumps writes NaN, which Python's json reads back
+        [[float("nan"), "x"], [float("nan"), "x"]],
+        [[[1, float("nan")], "x"]],
     ],
-    ids=["false", "true", "null", "nested-null"],
+    ids=["false", "true", "null", "nested-null", "nan", "nested-nan"],
 )
 def test_json_literals_are_not_point_labels(capsys, tmp_path, points):
     with pytest.raises(InstanceFormatError, match="point labels must be strings, numbers or lists of them"):

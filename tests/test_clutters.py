@@ -11,6 +11,7 @@ from linstrand import (
     SizeGuardError,
     SquarefreeIdeal,
     VertexTable,
+    alexander_dual,
     complete_clutter,
     d_partite_complement,
     edge_ideal,
@@ -73,13 +74,10 @@ def test_an_unknown_name_is_a_value_error(name):
         t.resolve(["a1", name])
 
 
-def test_clutter_rejects_containment():
-    t = VertexTable(("x", "y", "z"), None)
-    with pytest.raises(ValueError):
-        Clutter(t, (frozenset({0}), frozenset({0, 1})))
-
-
 SET_FAMILIES = [Clutter, SquarefreeIdeal, SimplicialComplex]
+# a Clutter needs a partition; each family checks its members before any
+# transversal check, so members that are not transversals still test that
+PARTITIONED = VertexTable(("x", "y", "z"), (0, 1, 2))
 
 
 @pytest.mark.parametrize("family_type", SET_FAMILIES, ids=lambda t: t.__name__)
@@ -95,15 +93,13 @@ SET_FAMILIES = [Clutter, SquarefreeIdeal, SimplicialComplex]
     ids=["beyond-table", "negative", "repeated", "nested", "nested-across-sizes"],
 )
 def test_set_families_reject_bad_members(family_type, members, message):
-    t = VertexTable(("x", "y", "z"), None)
     with pytest.raises(ValueError, match=message):
-        family_type(t, tuple(frozenset(m) for m in members))
+        family_type(PARTITIONED, tuple(frozenset(m) for m in members))
 
 
 # each takes a vertex set s on the table of a partitioned clutter c
 TAKES_A_VERTEX_SET = {
     "Clutter": lambda c, s: Clutter(c.vertices, (s,)),
-    "unpartitioned-Clutter": lambda c, s: Clutter(VertexTable(c.vertices.names), (s,)),
     "SquarefreeIdeal": lambda c, s: SquarefreeIdeal(c.vertices, (s,)),
     "restrict": restrict,
     "multigraded_betti": lambda c, s: multigraded_betti(edge_ideal(c), 1, s, QQ),
@@ -134,12 +130,11 @@ def test_has_face_does_not_take_a_bool_for_a_vertex():
 
 @pytest.mark.parametrize("family_type", SET_FAMILIES, ids=lambda t: t.__name__)
 def test_only_a_complex_takes_the_empty_set(family_type):
-    t = VertexTable(("x", "y", "z"), None)
     if family_type is SimplicialComplex:
-        assert family_type(t, (frozenset(),)).facets == (frozenset(),)
+        assert family_type(PARTITIONED, (frozenset(),)).facets == (frozenset(),)
     else:
         with pytest.raises(ValueError, match="nonempty"):
-            family_type(t, (frozenset(),))
+            family_type(PARTITIONED, (frozenset(),))
 
 
 def test_clutter_rejects_nontransversal_edge():
@@ -174,27 +169,34 @@ def test_minimal_covers_match_brute_force():
 
 
 @st.composite
-def any_clutter(draw):
-    """An unpartitioned clutter (the minimal members of random nonempty
-    sets, possibly none) or a partitioned random_clutter."""
+def any_family(draw):
+    """An ideal of a general antichain (the minimal members of random
+    nonempty sets, at least one) on an unpartitioned table, or a random
+    clutter."""
     if draw(st.booleans()):
-        n = draw(st.integers(0, 8))
-        sets = draw(st.lists(st.frozensets(st.integers(0, max(n - 1, 0)), min_size=1, max_size=n), max_size=8)) if n else []
-        edges = tuple({s for s in sets if not any(t < s for t in sets)})
-        return Clutter(VertexTable(tuple(f"v{i}" for i in range(n))), edges)
+        n = draw(st.integers(1, 8))
+        sets = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=8))
+        generators = tuple({s for s in sets if not any(t < s for t in sets)})
+        return SquarefreeIdeal(VertexTable(tuple(f"v{i}" for i in range(n))), generators)
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     return random_clutter(sizes, draw(st.sampled_from((0.0, 0.3, 0.6, 1.0))), draw(st.integers(0, 10**6)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(any_clutter())
-def test_minimal_covers_match_brute_force_on_any_clutter(c):
-    assert minimal_vertex_covers(c) == tuple(brute_minimal_covers(c.n, c.edges))
+@given(any_family())
+def test_minimal_covers_match_brute_force_on_any_clutter(family):
+    # the covers of a general antichain are the generators of its Alexander dual
+    if isinstance(family, SquarefreeIdeal):
+        got = alexander_dual(family).generators
+        edges = family.generators
+    else:
+        got = minimal_vertex_covers(family)
+        edges = family.edges
+    assert got == tuple(brute_minimal_covers(family.vertices.n, edges))
 
 
 def test_covers_of_edgeless_clutter_is_empty_set_only():
-    t = VertexTable(("x", "y"), None)
-    assert minimal_vertex_covers(Clutter(t, ())) == (frozenset(),)
+    assert minimal_vertex_covers(Clutter(complete_clutter([1, 1]).vertices, ())) == (frozenset(),)
 
 
 def test_independence_complex_matches_brute_force():
@@ -231,6 +233,12 @@ def test_restrict_keeps_induced_edges_only():
     r = restrict(c, w)
     assert r.n == 4
     assert r.edges == ()  # no edge of a 3-partite clutter fits in two parts
+
+
+def test_restrict_to_nothing_is_refused():
+    # a clutter's table has at least one vertex
+    with pytest.raises(ValueError, match="at least one vertex"):
+        restrict(complete_clutter([2, 2]), frozenset())
 
 
 def test_restrict_then_restrict_composes():
@@ -306,8 +314,11 @@ def test_point_configuration_rejects_bool_labels(points):
         ([[{}]], "point labels must be strings, numbers or lists of them"),
         ([[None, "x"]], "point labels must be strings, numbers or lists of them"),
         ([[[1, [None]], "x"]], "point labels must be strings, numbers or lists of them"),
+        # two NaNs never compare equal, so one repeated point would make two vertices
+        ([[float("nan"), "x"], [float("nan"), "x"]], "nan is not equal to itself"),
+        ([[("y", [float("nan")]), "x"]], "nan is not equal to itself"),
     ],
-    ids=["number", "empty", "number-row", "string-rows", "dict-label", "null-label", "nested-null-label"],
+    ids=["number", "empty", "number-row", "string-rows", "dict-label", "null-label", "nested-null-label", "nan-label", "nested-nan-label"],
 )
 def test_point_configuration_rejects_bad_shapes_and_labels(points, message):
     with pytest.raises(ValueError, match=message):

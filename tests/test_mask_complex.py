@@ -145,10 +145,10 @@ def test_a_broken_level_family_fails_the_strands_own_check(monkeypatch):
     set with one of its two paths down to level 0 cut."""
     real = StrandComplex
 
-    def dropping(d, vertices, level_masks):
+    def dropping(vertices, level_masks):
         first, second = level_masks[1], level_masks[2]
         a = next(a for a in first if any(a | b == b for b in second))
-        return real(d, vertices, (level_masks[0], tuple(m for m in first if m != a), *level_masks[2:]))
+        return real(vertices, (level_masks[0], tuple(m for m in first if m != a), *level_masks[2:]))
 
     monkeypatch.setattr(strand_module, "StrandComplex", dropping)
     with pytest.raises(ConsistencyError, match="boundaries at degrees 2 and 1 do not compose to zero"):

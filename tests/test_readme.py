@@ -1,5 +1,6 @@
 """README's examples run as written: the library quick start prints what its
-comments say, and every command-line example exits 0."""
+comments say, and every command-line example exits 0.  Its module table
+lists the package's modules."""
 
 import contextlib
 import io
@@ -36,3 +37,9 @@ def test_every_command_line_example_exits_zero(capsys, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_module_table_lists_every_module():
+    rows = re.findall(r"^\| `(\w+)` \|", _section("Modules"), re.M)
+    modules = {p.stem for p in (REPO / "src" / "linstrand").glob("*.py")} - {"__init__"}
+    assert sorted(rows) == sorted(modules)

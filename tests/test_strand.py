@@ -9,6 +9,7 @@ from linstrand import (
     SizeGuardError,
     StrandComplex,
     StrandEntry,
+    VertexTable,
     complete_clutter,
     first_linear_strand,
     gf,
@@ -47,12 +48,11 @@ def test_two_by_two_strand_is_frozen():
     )
 
 
-def test_strand_requires_partition():
-    from linstrand import Clutter, VertexTable
+def test_a_clutter_needs_a_partitioned_table():
+    from linstrand import Clutter
 
-    t = VertexTable(("x", "y"), None)
-    with pytest.raises(ValueError):
-        first_linear_strand(Clutter(t, (frozenset({0, 1}),)))
+    with pytest.raises(ValueError, match="a clutter needs a partitioned vertex table"):
+        Clutter(VertexTable(("x", "y")), ())
 
 
 def test_strand_of_edgeless_clutter_is_empty():
@@ -95,7 +95,7 @@ def test_corrupted_sign_is_located():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
     r, cc, _, _ = s.differentials[1][3]
-    report = verify_support(_FlippedSign(s.d, s.vertices, s.level_masks), strand_support_pair(c))
+    report = verify_support(_FlippedSign(s.vertices, s.level_masks), strand_support_pair(c))
     assert not report.ok
     assert any(f"level 1: entry ({r}, {cc})" in m for m in report.mismatches)
 
@@ -116,7 +116,7 @@ def test_wrong_vertex_is_reported():
     c = six_of_eight_transversals()
     s = first_linear_strand(c)
     r, cc, _, _ = s.differentials[1][0]
-    report = verify_support(_WrongVertex(s.d, s.vertices, s.level_masks), strand_support_pair(c))
+    report = verify_support(_WrongVertex(s.vertices, s.level_masks), strand_support_pair(c))
     assert not report.ok
     assert [m for m in report.mismatches if m.startswith(f"level 1: entry ({r}, {cc})")] == list(report.mismatches)
 
@@ -194,8 +194,11 @@ def test_strand_complex_rejects_a_basis_set_vertex_outside_the_table():
     a02 = 0b0101
     for bad in (1 << 4, 0b10001, -1, frozenset({0, 2}), 5.0, None):
         with pytest.raises(ValueError):
-            StrandComplex(2, t, ((a02, bad),))
-    ok = StrandComplex(2, t, ((a02,), (0b0111,)))
+            StrandComplex(t, ((a02, bad),))
+    with pytest.raises(ValueError, match="a strand needs a partitioned vertex table"):
+        StrandComplex(VertexTable(t.names), ((a02,),))
+    ok = StrandComplex(t, ((a02,), (0b0111,)))
+    assert ok.d == 2
     assert ok.ranks() == (1, 1)
     assert ok.levels == ((frozenset({0, 2}),), (frozenset({0, 1, 2}),))
     assert ok.differentials == ((), (StrandEntry(0, 0, -1, 1),))
