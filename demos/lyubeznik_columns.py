@@ -19,7 +19,7 @@ for path in instances:
     for p, ours, oracle in r.rows:
         marker = "ok" if ours == oracle else "MISMATCH"
         print(f"  p = {p}: lambda = {ours}, oracle Betti = {oracle}  [{marker}]")
-    print(f"  corner lambda_({col.n - col.d},{col.n - col.d}) = {col.highest()}")
+    print(f"  corner lambda_({c.n - c.d},{c.n - c.d}) = {col.highest()}")
     trivial = all(v == 0 for v in col.values[:-1]) and col.highest() == 1
     print(f"  trivial column: {'yes' if trivial else 'no'}")
     print()

@@ -62,5 +62,5 @@ print(f"strand matches the relative boundary entry by entry: {report.ok}")
 
 show("last column of the Lyubeznik table of the cover ideal")
 col = lyubeznik_last_column(c, QQ)
-print(f"lambda_(p, {col.n - col.d}) for p = 0..{col.n - col.d}: {col.values}")
+print(f"lambda_(p, {c.n - c.d}) for p = 0..{c.n - c.d}: {col.values}")
 print("(the nonzero entry below the corner witnesses a nontrivial table)")

@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .clutters import Clutter, VertexTable, d_partite_complement, from_point_configuration, minimal_vertex_covers
+from .clutters import Clutter, _table_of_parts, d_partite_complement, from_point_configuration, minimal_vertex_covers
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, SizeGuardError, check_vertex_guard
 from .hochster import betti_table, linear_strand_betti
 from .ideals import alexander_dual, edge_ideal, squarefree_colon
@@ -74,15 +74,8 @@ def instance_from_dict(data: object) -> Clutter:
         raise InstanceFormatError("parts must be a list of lists of names")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise InstanceFormatError("edges must be a list of lists of names")
-    names: list[str] = []
-    part_ids: list[int] = []
-    for i, p in enumerate(parts):
-        if not p:
-            raise InstanceFormatError(f"part {i} is empty")
-        names.extend(p)
-        part_ids.extend([i] * len(p))
     try:
-        table = VertexTable(tuple(names), tuple(part_ids))
+        table = _table_of_parts(parts)
         return Clutter(table, tuple(table.resolve(e) for e in edges))
     except ValueError as e:
         raise InstanceFormatError(str(e)) from None
@@ -243,8 +236,8 @@ def _strand(c: Clutter, args) -> tuple[dict, list[str]]:
 
 def _lyubeznik(c: Clutter, args) -> tuple[dict, list[str]]:
     col = lyubeznik_last_column(c, args.field, max_vertices=args.max_vertices)
-    payload = {"lyubeznik_column": list(col.values), "n": col.n, "d": col.d}
-    return payload, [f"last Lyubeznik column (p = 0..{col.n - col.d}): " + " ".join(str(v) for v in col.values)]
+    payload = {"lyubeznik_column": list(col.values), "n": c.n, "d": c.d}
+    return payload, [f"last Lyubeznik column (p = 0..{c.n - c.d}): " + " ".join(str(v) for v in col.values)]
 
 
 def _linear(c: Clutter, args) -> tuple[dict, list[str]]:

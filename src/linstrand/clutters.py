@@ -295,7 +295,7 @@ def restrict(c: Clutter, w: Iterable[int]) -> Clutter:
     w = frozenset(w)
     if not _in_table(w, c.n):
         raise ValueError("restriction set out of range")
-    return _on_subset(c, w, (e for e in c.edges if e <= w))
+    return _on_subset(c.vertices.names, c.vertices.parts, w, (e for e in c.edges if e <= w))
 
 
 def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
@@ -315,18 +315,18 @@ def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
     chosen = sorted(set(parts))
     w = frozenset(v for p in chosen for v in c.vertices.part_members(p))
     # every image has one vertex in each chosen part, so none contains another
-    return _on_subset(c, w, {e & w for e in c.edges})
+    return _on_subset(c.vertices.names, c.vertices.parts, w, {e & w for e in c.edges})
 
 
-def _on_subset(c: Clutter, w: frozenset[int], edges: Iterable[frozenset[int]]) -> Clutter:
+def _on_subset(names: Sequence[str], part_of, w: Iterable[int], edges: Iterable[frozenset[int]]) -> Clutter:
     """The clutter of the given distinct subsets of w on the sub-table on w:
-    the vertices of w renumbered in order, and the parts that meet w
-    renumbered compactly in their original order."""
-    t = c.vertices
+    the vertices v of w renumbered in order, named names[v], and their parts
+    part_of[v] (a tuple over all vertices or a dict over w) renumbered
+    compactly in their original order."""
     order = sorted(w)
     renum = {v: i for i, v in enumerate(order)}
-    part_renum = {p: i for i, p in enumerate(sorted({t.parts[v] for v in order}))}
-    table = VertexTable(tuple(t.names[v] for v in order), tuple(part_renum[t.parts[v]] for v in order))
+    part_renum = {p: i for i, p in enumerate(sorted({part_of[v] for v in order}))}
+    table = VertexTable(tuple(names[v] for v in order), tuple(part_renum[part_of[v]] for v in order))
     return Clutter(table, tuple(frozenset(renum[v] for v in e) for e in edges))
 
 
@@ -388,14 +388,19 @@ def _positive_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
     return t
 
 
+def _table_of_parts(parts: Sequence[Sequence[str]]) -> VertexTable:
+    """The table whose part i holds the named vertices parts[i], numbered
+    part by part in order; an empty part raises ValueError."""
+    for i, p in enumerate(parts):
+        if not p:
+            raise ValueError(f"part {i} is empty")
+    return VertexTable(tuple(itertools.chain(*parts)), tuple(i for i, p in enumerate(parts) for _ in p))
+
+
 def _partitioned_table(part_sizes: Sequence[int]) -> VertexTable:
-    """The table of parts of the given sizes, each a positive int."""
-    names: list[str] = []
-    parts: list[int] = []
-    for i, s in enumerate(part_sizes):
-        names.extend(f"{_part_letter(i)}{j + 1}" for j in range(s))
-        parts.extend([i] * s)
-    return VertexTable(tuple(names), tuple(parts))
+    """The table of parts of the given sizes, each a positive int, with
+    vertices a1, a2, .., b1, .. named by part letter."""
+    return _table_of_parts([[f"{_part_letter(i)}{j + 1}" for j in range(s)] for i, s in enumerate(part_sizes)])
 
 
 # how many shapes complete_clutter keeps; a loop over more shapes than this

@@ -22,6 +22,10 @@ class ConsistencyError(RuntimeError):
 
 
 def check_vertex_guard(n: int, max_vertices: int) -> None:
+    """Raise SizeGuardError when n exceeds max_vertices, and ValueError when
+    max_vertices is not an int (a bool or a float included)."""
+    if type(max_vertices) is not int:
+        raise ValueError(f"max_vertices must be an int, got {max_vertices!r}")
     if n > max_vertices:
         raise SizeGuardError(
             f"{n} vertices exceeds the guard of {max_vertices}; "

@@ -59,7 +59,6 @@ class BettiTable:
     """Nonzero multigraded Betti numbers beta_{i,sigma}; graded aggregates
     beta_{i,j} = sum over |sigma| = j are derived at construction."""
 
-    n: int
     min_degree: int
     multigraded: dict[tuple[int, frozenset[int]], int]
 
@@ -225,15 +224,17 @@ def betti_table(
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> BettiTable:
     """All nonzero beta_{i,sigma} with |sigma| at most degree_cap (all of
-    them when the cap is None), over the field f.  A negative cap raises
-    ValueError."""
+    them when the cap is None), over the field f.  A cap that is not an int
+    (a bool or a float included) or is negative raises ValueError."""
+    if degree_cap is not None and type(degree_cap) is not int:
+        raise ValueError(f"degree cap must be an int, got {degree_cap!r}")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     prepared = _prepare(i, max_vertices)
     n = prepared[0]
     cap = n if degree_cap is None else degree_cap
     multigraded = _sweep(prepared, f, lambda size: range(size - 1, -1, -1) if size <= cap else ())
-    return BettiTable(n, i.min_degree, multigraded)
+    return BettiTable(i.min_degree, multigraded)
 
 
 def multigraded_betti(

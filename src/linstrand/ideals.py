@@ -23,6 +23,7 @@ from .clutters import (
     _in_table,
     _mask,
     _minimal_cover_masks,
+    _on_subset,
     d_partite_complement,
 )
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
@@ -104,9 +105,6 @@ class AdmissibleSequence:
     def d(self) -> int:
         return len(self.supports)
 
-    def union(self) -> frozenset[int]:
-        return frozenset().union(*self.supports)
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -149,19 +147,9 @@ def strand_clutter(i: SquarefreeIdeal, seq: AdmissibleSequence) -> Clutter:
     report = check_admissible(i, seq)
     if not report.ok:
         raise ValueError(f"sequence is not admissible: {report.reason}")
-    w = seq.union()
-    order = sorted(w)
-    renum = {v: j for j, v in enumerate(order)}
-    part_of = {}
-    for k, s in enumerate(seq.supports):
-        for v in s:
-            part_of[v] = k
-    table = VertexTable(
-        tuple(i.vertices.names[v] for v in order),
-        tuple(part_of[v] for v in order),
-    )
-    edges = tuple(frozenset(renum[v] for v in g) for g in i.generators if len(g) == seq.d)
-    return Clutter(table, edges)
+    part_of = {v: k for k, s in enumerate(seq.supports) for v in s}
+    edges = (g for g in i.generators if len(g) == seq.d)
+    return _on_subset(i.vertices.names, part_of, part_of.keys(), edges)
 
 
 def parts_sequence(c: Clutter) -> AdmissibleSequence:
@@ -197,8 +185,15 @@ def squarefree_colon(
     keep n small.  Membership only grows with S, so a member is minimal
     exactly when dropping any one of its vertices leaves the colon.  Above
     DEFAULT_MAX_VERTICES (24) it raises SizeGuardError before allocating.
+    An n that is not an int, or too small for the vertices given, raises
+    ValueError.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     check_vertex_guard(n, DEFAULT_MAX_VERTICES)
+    parts, dual_generators = tuple(parts), tuple(dual_generators)
+    if not _in_table(itertools.chain(*parts, *dual_generators), n):
+        raise ValueError(f"a vertex of a part or dual generator is outside 0..{n - 1}")
     part_masks = tuple(_mask(p) for p in parts)
     # per dual generator D, each part less D
     needs = tuple(tuple(p & ~_mask(g) for p in part_masks) for g in dual_generators)

@@ -33,15 +33,12 @@ __all__ = ["LyubeznikColumn", "CrossCheckReport", "lyubeznik_last_column", "cros
 
 @dataclass(frozen=True)
 class LyubeznikColumn:
-    """Entries lambda_{p, n-d} for p = 0..n-d, as values[p]."""
+    """Entries lambda_{p, n-d} for p = 0..n-d, as values[p]; n and d are
+    those of the clutter."""
 
-    n: int
-    d: int
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.n - self.d + 1:
-            raise ValueError("need one value per row p = 0..n-d")
         if any(v < 0 for v in self.values):
             raise ValueError("Lyubeznik numbers are nonnegative")
 
@@ -59,8 +56,8 @@ def lyubeznik_last_column(
     """The last Lyubeznik column of the quotient by the cover ideal of c."""
     pair = strand_support_pair(c, max_vertices=max_vertices)
     h = _mask_homology(pair._kept, f)
-    n, d = c.n, c.vertices.d
-    return LyubeznikColumn(n, d, tuple(h.get(n - p - 1, 0) for p in range(n - d + 1)))
+    n, d = c.n, c.d
+    return LyubeznikColumn(tuple(h.get(n - p - 1, 0) for p in range(n - d + 1)))
 
 
 @dataclass(frozen=True)

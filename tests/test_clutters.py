@@ -12,6 +12,7 @@ from linstrand import (
     SquarefreeIdeal,
     VertexTable,
     alexander_dual,
+    betti_table,
     complete_clutter,
     d_partite_complement,
     edge_ideal,
@@ -19,12 +20,16 @@ from linstrand import (
     first_linear_strand,
     from_point_configuration,
     independent_sets,
+    is_linear,
+    linear_strand_betti,
+    lyubeznik_last_column,
     minimal_vertex_covers,
     multigraded_betti,
     random_clutter,
     ranked_projection,
     restrict,
     strand_homology_at,
+    strand_support_pair,
 )
 
 from helpers import (
@@ -262,6 +267,50 @@ def test_ranked_projection_drops_to_selected_parts():
     assert all(len(e) == 2 for e in p.edges)
 
 
+@st.composite
+def clutters_with_subsets(draw):
+    """A random clutter on n <= 12 vertices whose table interleaves its parts
+    (vertex i is vertex order[i] of a random clutter), a nonempty vertex set
+    w and a nonempty list of part indices, repeats allowed."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 12))
+    drawn = random_clutter(sizes, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
+    t = drawn.vertices
+    order = draw(st.permutations(range(drawn.n)))
+    new = {v: i for i, v in enumerate(order)}
+    table = VertexTable(tuple(t.names[v] for v in order), tuple(t.parts[v] for v in order))
+    c = Clutter(table, tuple(frozenset(new[v] for v in e) for e in drawn.edges))
+    w = draw(st.frozensets(st.integers(0, c.n - 1), min_size=1))
+    js = draw(st.lists(st.integers(0, c.d - 1), min_size=1, max_size=4))
+    return c, w, js
+
+
+def _brute_on_subset(c, w, edges):
+    """The names, part indices and edge set of the clutter of the given
+    subsets of w: the vertices of w kept in order, the parts meeting w
+    renumbered 0, 1, .. in their original order."""
+    t = c.vertices
+    order = sorted(w)
+    kept_parts = sorted({t.parts[v] for v in w})
+    return (
+        tuple(t.names[v] for v in order),
+        tuple(kept_parts.index(t.parts[v]) for v in order),
+        frozenset(frozenset(order.index(v) for v in e) for e in edges),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(clutters_with_subsets())
+def test_restrict_and_projection_match_brute_force(case):
+    c, w, js = case
+
+    def seen(r):
+        return r.vertices.names, r.vertices.parts, r.edge_set()
+
+    assert seen(restrict(c, w)) == _brute_on_subset(c, w, [e for e in c.edges if e <= w])
+    w_js = frozenset(v for v in range(c.n) if c.vertices.parts[v] in js)
+    assert seen(ranked_projection(c, js)) == _brute_on_subset(c, w_js, [e & w_js for e in c.edges])
+
+
 def test_ranked_projection_discards_nonminimal_images():
     t = complete_clutter([2, 2]).vertices
     # projecting onto part 0 sends both edges to {a1}; single edge survives
@@ -395,3 +444,22 @@ def test_vertex_guard_trips():
         independent_sets(complete_clutter([5, 5, 5, 5, 5, 5]))
     # and can be lifted explicitly
     independent_sets(complete_clutter([2, 2]), max_vertices=100)
+
+
+GUARDED = {
+    "independent_sets": lambda c, m: independent_sets(c, max_vertices=m),
+    "first_linear_strand": lambda c, m: first_linear_strand(c, max_vertices=m),
+    "strand_support_pair": lambda c, m: strand_support_pair(c, max_vertices=m),
+    "lyubeznik_last_column": lambda c, m: lyubeznik_last_column(c, max_vertices=m),
+    "is_linear": lambda c, m: is_linear(c, max_vertices=m),
+    "betti_table": lambda c, m: betti_table(edge_ideal(c), max_vertices=m),
+    "linear_strand_betti": lambda c, m: linear_strand_betti(edge_ideal(c), max_vertices=m),
+}
+
+
+@pytest.mark.parametrize("guard", [True, 2.5, None], ids=["bool", "float", "none"])
+@pytest.mark.parametrize("entry", GUARDED.values(), ids=GUARDED.keys())
+def test_a_guard_that_is_not_an_int_is_refused(entry, guard):
+    # unchecked, True acts as a guard of 1 and 2.5 as one of 2
+    with pytest.raises(ValueError, match="max_vertices must be an int"):
+        entry(complete_clutter([1, 1]), guard)

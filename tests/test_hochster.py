@@ -288,6 +288,13 @@ def test_negative_degree_cap_is_rejected():
     assert betti_table(i, QQ, degree_cap=0).graded == {}
 
 
+@pytest.mark.parametrize("cap", [True, 2.5, "2"], ids=["bool", "float", "str"])
+def test_a_degree_cap_that_is_not_an_int_is_rejected(cap):
+    # unchecked, True acts as a cap of 1 and 2.5 as a cap of 2
+    with pytest.raises(ValueError, match="degree cap must be an int"):
+        betti_table(ideal(3, {0, 1}, {1, 2}), QQ, degree_cap=cap)
+
+
 @pytest.mark.parametrize("sigma", [{0, 1, 3, 99}, {-1, 0}], ids=["above", "negative"])
 def test_multidegree_outside_the_table_is_rejected(sigma):
     i = ideal(4, {0, 1}, {1, 3})

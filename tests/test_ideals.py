@@ -137,8 +137,7 @@ def test_parts_sequence_is_admissible_for_edge_ideals():
         i = edge_ideal(c)
         seq = parts_sequence(c)
         assert check_admissible(i, seq).ok
-        back = strand_clutter(i, seq)
-        assert back.edge_set() == c.edge_set()
+        assert strand_clutter(i, seq) == c
 
 
 @st.composite
@@ -206,6 +205,23 @@ def test_colon_refuses_a_large_n_before_allocating():
     # n = 25 would take 32 MiB and 2^25 passes; the guard answers at once
     with pytest.raises(SizeGuardError):
         squarefree_colon([frozenset({0})], (frozenset({0}),), 25)
+
+
+@pytest.mark.parametrize("n", [3, 5, True, 6.0, "6"])
+def test_colon_refuses_an_n_that_does_not_hold_the_vertices(n):
+    # a too-small n cuts vertices off the supports, so unchecked it gives a
+    # wrong answer (n = 3: one of the six minimal multidegrees) with no error
+    c = random_clutter([2, 2, 2], 0.5, 3)
+    with pytest.raises(ValueError, match="n must be an int|outside 0..") as caught:
+        squarefree_colon(c.part_sets(), minimal_vertex_covers(c), n)
+    assert caught.type is ValueError
+
+
+def test_colon_takes_a_larger_n():
+    c = random_clutter([2, 2, 2], 0.5, 3)
+    covers = minimal_vertex_covers(c)
+    assert squarefree_colon(c.part_sets(), covers, 7) == squarefree_colon(c.part_sets(), covers, 6)
+    assert squarefree_colon(c.part_sets(), covers, 6) == minimal_vertex_covers(d_partite_complement(c))
 
 
 def test_colon_of_the_zero_sequence_is_zero():
