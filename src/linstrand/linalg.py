@@ -23,8 +23,9 @@ ranks a complex's boundaries from the top degree down and leaves out of each
 boundary the columns the one above it pivoted on (clearing; see
 homology_dims).  That loop is written once, in _clearing_homology: it takes
 each boundary's (row, col, value) entries from a callback, homology_dims's
-from a ChainComplex and simplicial's straight from checked masks, and makes
-them rows with _field_rows, the one row builder, which rank uses as well.
+from a ChainComplex and simplicial's from the Morse complex it reduces a
+checked mask complex to, and makes them rows with _field_rows, the one row
+builder, which rank uses as well.
 The Hochster oracle hands its own rows to _eliminate, so Matrix and
 ChainComplex are built only for callers that ask for one.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConsistencyError
 
@@ -117,19 +118,12 @@ class Matrix:
             pr, pc = r, c
         object.__setattr__(self, "entries", tuple(norm))
 
-    @staticmethod
-    def from_entries(nrows: int, ncols: int, items: Iterable[tuple[int, int, int]]) -> "Matrix":
-        return Matrix(nrows, ncols, tuple((r, c, v) for r, c, v in items if v != 0))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows, tuple((c, r, v) for r, c, v in self.entries))
-
     def compose(self, other: "Matrix") -> "Matrix":
         """self @ other, exactly, over the integers."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in composition")
-        entries = ((r, c, v) for r, acc in _product_rows(self, other) for c, v in sorted(acc.items()))
-        return Matrix.from_entries(self.nrows, other.ncols, entries)
+        entries = tuple((r, c, v) for r, acc in _product_rows(self, other) for c, v in sorted(acc.items()) if v)
+        return Matrix(self.nrows, other.ncols, entries)
 
 
 def _eliminate(rows: list[dict[int, int]], p: int, pivot_rows: set[int] | None = None) -> int:

@@ -10,8 +10,10 @@ nontrivial column, the last one, and its entry in row p is
 
 Over a field, cohomology and homology of the pair have equal dimensions
 (rank of a matrix equals rank of its transpose), so the dimensions are read
-off the relative chain complex directly, ranked on the pair's face masks
-(simplicial._mask_homology) without building its matrices.  For p strictly
+off the relative chain complex directly, on the pair's face masks and
+without building its matrices: simplicial._mask_homology ranks the Morse
+complex left by a sequential element matching of the faces, which has the
+pair's homology and, on complete clutters, one cell.  For p strictly
 below n - d the same number equals the multigraded Betti number
 beta_{p-1, full multidegree} of the edge ideal of the complement, which
 cross_check_betti verifies against the Hochster oracle.

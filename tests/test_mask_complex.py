@@ -1,7 +1,8 @@
 """The strand and the relative pair are checked and ranked on their masks:
 simplicial._squares_vanish must agree with ChainComplex's product check, and
-the mask homology behind lyubeznik_last_column and strand_homology_at with
-homology_dims of the public chain complexes."""
+the mask homology behind lyubeznik_last_column and strand_homology_at, which
+ranks a discrete Morse reduction, with homology_dims of the public chain
+complexes, which ranks every cell."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,13 @@ from linstrand import (
 )
 from linstrand import strand as strand_module
 from linstrand.clutters import _members
-from linstrand.simplicial import _graded_chain_complex, _mask_homology, _squares_vanish
+from linstrand.simplicial import (
+    _element_matching,
+    _gradient_flow,
+    _graded_chain_complex,
+    _mask_homology,
+    _squares_vanish,
+)
 
 FIELDS = (QQ, GF2, gf(3))
 
@@ -153,3 +160,75 @@ def test_a_broken_level_family_fails_the_strands_own_check(monkeypatch):
     monkeypatch.setattr(strand_module, "StrandComplex", dropping)
     with pytest.raises(ConsistencyError, match="boundaries at degrees 2 and 1 do not compose to zero"):
         first_linear_strand(complete_clutter([2, 2, 2]))
+
+
+def clearing_homology(bases, f):
+    return homology_dims(_graded_chain_complex(bases), f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CLUTTERS, st.integers(0, 2**10 - 1))
+def test_morse_homology_of_the_strand_at_a_random_multidegree(c, bits):
+    s = first_linear_strand(c)
+    b = frozenset(v for v in range(c.n) if bits >> v & 1)
+    kept = {i: tuple(a for a in level if a & ~bits == 0) for i, level in enumerate(s.level_masks)}
+    for f in FIELDS:
+        assert strand_homology_at(s, b, f) == clearing_homology(kept, f), str(f)
+
+
+@st.composite
+def shifted_sums(draw):
+    """(bases, summand, shift): strand levels or pair faces of a random
+    clutter plus a copy of them shifted up by 1 to 3 degrees, so that masks
+    sit in two degrees (adjacent ones at shift 1).  The sum is a complex,
+    since no set of one copy drops onto a set of the other."""
+    c = draw(CLUTTERS)
+    if draw(st.booleans()):
+        summand = dict(enumerate(first_linear_strand(c).level_masks))
+    else:
+        summand = dict(strand_support_pair(c)._kept)
+    shift = draw(st.integers(1, 3))
+    bases = {}
+    for k, masks in summand.items():
+        bases.setdefault(k, []).extend(masks)
+        bases.setdefault(k + shift, []).extend(masks)
+    return {k: tuple(sorted(masks, key=_members)) for k, masks in bases.items()}, summand, shift
+
+
+@example(({0: (1, 2), 1: (1, 3, 2), 2: (3,)}, {0: (1, 2), 1: (3,)}, 1))
+@settings(max_examples=150, deadline=None)
+@given(shifted_sums())
+def test_morse_homology_with_a_mask_in_two_degrees(case):
+    bases, summand, shift = case
+    for f in FIELDS:
+        h = clearing_homology(summand, f)
+        morse = _mask_homology(bases, f)
+        assert morse == clearing_homology(bases, f), str(f)
+        assert all(v == h.get(k, 0) + h.get(k - shift, 0) for k, v in morse.items()), str(f)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_only_adjacent_degrees_pair(f):
+    # 1 = 0 + vertex 0, but in the same degree, or two degrees apart
+    assert _element_matching({0: (0, 1)})[0] == {0: (0, 1)}
+    assert _mask_homology({0: (0, 1)}, f) == {0: 2}
+    assert _mask_homology({0: (0,), 2: (1,)}, f) == {0: 1, 1: 0, 2: 1}
+
+
+@pytest.mark.parametrize("sizes", [[2, 2, 2], [3] * 3, [2, 3, 4], [3] * 4], ids=str)
+def test_a_complete_clutter_reduces_to_one_critical_cell(sizes):
+    """The pair of a complete clutter has the homology of a point shifted to
+    degree d - 1, and the matching leaves exactly that one cell."""
+    pair = strand_support_pair(complete_clutter(sizes))
+    critical, _ = _element_matching(pair._kept)
+    assert {k: len(cells) for k, cells in critical.items() if cells} == {len(sizes) - 1: 1}
+    assert sum(map(len, pair._kept.values())) > 1
+
+
+def test_the_gradient_walk_refuses_a_cyclic_matching():
+    """The boundary of a triangle with each vertex matched to the next edge
+    round: 0 up to 01, 1 up to 12, 2 up to 02.  The flow of 0 needs that of
+    1, which needs that of 2, which needs that of 0 again."""
+    flow = _gradient_flow({0b001: 0b011, 0b010: 0b110, 0b100: 0b101}, {}, 0)
+    with pytest.raises(ConsistencyError, match="cycle"):
+        flow(0b001)

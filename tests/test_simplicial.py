@@ -240,3 +240,27 @@ def test_pair_guard_fires_before_the_complement_is_built(monkeypatch):
     for call in (strand_support_pair, lyubeznik_last_column, cross_check_betti):
         with pytest.raises(SizeGuardError):
             call(c)
+
+
+@st.composite
+def closure_cases(draw):
+    """(n, facets, floor) as masks on at most 10 vertices: a random floor, no
+    floor, or the facets themselves as the floor."""
+    n = draw(st.integers(0, 10))
+    masks = st.integers(0, (1 << n) - 1)
+    facets = draw(st.lists(masks, max_size=6))
+    floor = draw(st.one_of(st.lists(masks, max_size=4), st.just([]), st.just(facets)))
+    return n, tuple(facets), tuple(floor)
+
+
+# the part-deficient floor of the parts {0, 1} and {2, 3}
+@example((4, (0b1111, 0b0111), (0b1100, 0b0011)))
+@settings(max_examples=200, deadline=None)
+@given(closure_cases())
+def test_closure_equals_a_brute_force_filter(case):
+    n, facets, floor = case
+    want = {}
+    for s in range(1 << n):
+        if any(s | f == f for f in facets) and not any(s | g == g for g in floor):
+            want.setdefault(s.bit_count() - 1, set()).add(s)
+    assert simplicial._downward_closure(facets, floor) == want

@@ -123,17 +123,18 @@ def test_wrong_vertex_is_reported():
 
 def test_flipping_every_sign_of_the_shared_rule_is_caught(monkeypatch):
     """Negating every sign still squares to zero, so the product check
-    passes; only the paper's formula tells the two rules apart."""
-    from linstrand import simplicial, strand
+    passes; only the paper's formula tells the two rules apart.  The rule
+    lives in simplicial._drops, which every boundary builder and the Morse
+    reduction read, so flipping it there reaches them all."""
+    from linstrand import simplicial
 
-    original = simplicial._signed_drops
+    original = simplicial._drops
 
-    def flipped(sources, targets):
-        for row, col, sign in original(sources, targets):
-            yield row, col, -sign
+    def flipped(a):
+        for t, sign in original(a):
+            yield t, -sign
 
-    monkeypatch.setattr(simplicial, "_signed_drops", flipped)
-    monkeypatch.setattr(strand, "_signed_drops", flipped)
+    monkeypatch.setattr(simplicial, "_drops", flipped)
     c = complete_clutter([2, 2, 2])
     s = first_linear_strand(c)
     s.skeleton_complex()
