@@ -38,6 +38,11 @@ Faces are handled as bitmasks, grown once per ideal from the empty face.
 One kernel, _betti_at, answers every entry point: given sigma and the
 homological degrees wanted there, it filters to sigma only the chain
 cardinalities those degrees read, and computes each boundary rank once.
+It filters a pool, not every face: the faces of one cardinality whose
+vertices all lie above the apex v and whose union with v is not a face.
+Each (v, cardinality) pool is built the first time a sigma asks for it and
+kept for the rest of the call, so every sigma with that lowest vertex
+scans only faces that can be its chains.
 The full table asks it for every degree, the linear strand and a single
 query for one, so the latter cost two ranks per multidegree.
 """
@@ -45,6 +50,7 @@ query for one, so the latter cost two ranks per multidegree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clutters import _in_table, _mask, _members
 from .errors import DEFAULT_MAX_VERTICES, ConsistencyError, check_vertex_guard
@@ -134,7 +140,37 @@ def _lcm_closed(sigma: int, gen_masks: list[int]) -> bool:
     return union == sigma
 
 
-def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
+class _Prepared(NamedTuple):
+    """What every sigma of one oracle call shares: the vertex count, the
+    generator masks, the independent faces by cardinality (by_card) and as a
+    set (independent), and the chain pools _chain_pool fills as sigmas ask
+    for them, keyed by (apex, cardinality)."""
+
+    n: int
+    gen_masks: list[int]
+    by_card: list[list[int]]
+    independent: set[int]
+    pools: dict[tuple[int, int], list[int]]
+
+
+def _chain_pool(prepared: _Prepared, apex: int, c: int) -> list[int]:
+    """The faces of cardinality c that can be chains of a sigma whose lowest
+    vertex is apex: all their vertices lie above the apex, and their union
+    with the apex is not a face.  The first test only keeps the pool short,
+    since the filter to sigma drops a face with a lower vertex anyway.
+    Built the first time a sigma asks for it, in by_card's ascending mask
+    order."""
+    key = (apex, c)
+    pool = prepared.pools.get(key)
+    if pool is None:
+        at_or_below = (apex << 1) - 1
+        independent = prepared.independent
+        pool = [m for m in prepared.by_card[c] if not m & at_or_below and m | apex not in independent]
+        prepared.pools[key] = pool
+    return pool
+
+
+def _betti_at(prepared: _Prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     """beta_{i,sigma} for each i of hom_degrees, in that order: the reduced
     homology of the independence complex restricted to sigma in degree
     k = |sigma| - i - 2, taken relative to the star of the lowest vertex v
@@ -142,12 +178,14 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     that cardinality with F | {v} not a face, so the homology is the number
     of chains less the ranks of the boundaries leaving and entering them;
     _mask_boundary drops the faces of the star, which are zero in the
-    quotient.  At sigma = {} there is no v and every face is a chain.  Each
-    cardinality is filtered, and each rank computed, at most once."""
-    by_card, independent = prepared[2:]
+    quotient.  The chains are v's pool for c (_chain_pool) filtered to
+    sigma, which keeps by_card's order; at sigma = {} there is no v and
+    every face is a chain.  Each cardinality is filtered, and each rank
+    computed, at most once."""
     p = f.characteristic
     size = sigma.bit_count()
     apex = sigma & -sigma
+    outside = ~sigma
     faces: dict[int, list[int]] = {}
     ranks: dict[int, int] = {}
 
@@ -156,9 +194,9 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
             if not 0 <= c <= size:
                 faces[c] = []
             elif apex:
-                faces[c] = [m for m in by_card[c] if m & ~sigma == 0 and m | apex not in independent]
+                faces[c] = [m for m in _chain_pool(prepared, apex, c) if not m & outside]
             else:
-                faces[c] = [m for m in by_card[c] if m & ~sigma == 0]
+                faces[c] = [m for m in prepared.by_card[c] if not m & outside]
         return faces[c]
 
     def del_rank(c: int) -> int:
@@ -177,22 +215,22 @@ def _betti_at(prepared, sigma: int, f: Field, hom_degrees) -> list[int]:
     return out
 
 
-def _prepare(i: SquarefreeIdeal, max_vertices: int):
+def _prepare(i: SquarefreeIdeal, max_vertices: int) -> _Prepared:
     check_vertex_guard(i.vertices.n, max_vertices)
     if i.is_zero:
         raise ValueError("the zero ideal has no Betti table")
     n = i.vertices.n
     gen_masks = [_mask(g) for g in i.generators]
     by_card = _independent_masks(n, gen_masks)
-    return n, gen_masks, by_card, {m for level in by_card for m in level}
+    return _Prepared(n, gen_masks, by_card, {m for level in by_card for m in level}, {})
 
 
-def _sweep(prepared, f: Field, hom_degrees) -> dict[tuple[int, frozenset[int]], int]:
+def _sweep(prepared: _Prepared, f: Field, hom_degrees) -> dict[tuple[int, frozenset[int]], int]:
     """The nonzero beta_{i,sigma} over every lcm-closed sigma, in ascending
     mask order, for the homological degrees hom_degrees(|sigma|) names."""
-    n, gen_masks = prepared[:2]
+    gen_masks = prepared.gen_masks
     multigraded: dict[tuple[int, frozenset[int]], int] = {}
-    for sigma in range(1 << n):
+    for sigma in range(1 << prepared.n):
         degrees = hom_degrees(sigma.bit_count())
         if not degrees or not _lcm_closed(sigma, gen_masks):
             continue
@@ -209,10 +247,10 @@ def _betti_degrees(
     the oracle once.  A member of sigma that is not an int in 0..n-1 raises
     ValueError."""
     prepared = _prepare(i, max_vertices)
-    if not _in_table(sigma, prepared[0]):
+    if not _in_table(sigma, prepared.n):
         raise ValueError("multidegree out of range")
     smask = _mask(sigma)
-    if not _lcm_closed(smask, prepared[1]):
+    if not _lcm_closed(smask, prepared.gen_masks):
         return [0] * len(hom_degrees)
     return _betti_at(prepared, smask, f, hom_degrees)
 
@@ -231,8 +269,7 @@ def betti_table(
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     prepared = _prepare(i, max_vertices)
-    n = prepared[0]
-    cap = n if degree_cap is None else degree_cap
+    cap = prepared.n if degree_cap is None else degree_cap
     multigraded = _sweep(prepared, f, lambda size: range(size - 1, -1, -1) if size <= cap else ())
     return BettiTable(i.min_degree, multigraded)
 

@@ -3,7 +3,8 @@ within the oracle's reach (n <= 10), over QQ, GF(2) and GF(3): the strand
 is the relative pair, the Lyubeznik column matches the Betti cross-check and
 is the strand's homology at the full multidegree, shifted by d, and the
 strand's ranks and multidegrees are the oracle's linear diagonal.
-The last identity is also checked once on four parts at n = 14."""
+The last identity is also checked once on four parts at n = 14 (QQ and
+GF(2)) and at n = 16 (GF(2))."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -50,11 +51,21 @@ def test_strand_pair_column_and_oracle_agree(sizes, p, seed):
         assert lyubeznik_last_column(c, f).values == want, f
 
 
-def test_strand_is_the_oracle_diagonal_on_four_parts_at_fourteen_vertices():
-    c = random_clutter([3, 4, 4, 3], 0.5, 1)
-    assert c.n == 14
+def _assert_strand_is_the_oracle_diagonal(c, fields):
     s = first_linear_strand(c)
-    for f in (QQ, GF2):
+    for f in fields:
         graded, multigraded = linear_strand_betti(edge_ideal(c), f)
         assert graded == dict(enumerate(s.ranks())), f
         assert multigraded == {(i, a): 1 for i, level in enumerate(s.levels) for a in level}, f
+
+
+def test_strand_is_the_oracle_diagonal_on_four_parts_at_fourteen_vertices():
+    c = random_clutter([3, 4, 4, 3], 0.5, 1)
+    assert c.n == 14
+    _assert_strand_is_the_oracle_diagonal(c, (QQ, GF2))
+
+
+def test_strand_is_the_oracle_diagonal_on_four_parts_at_sixteen_vertices():
+    c = random_clutter([4] * 4, 0.5, 1)
+    assert c.n == 16
+    _assert_strand_is_the_oracle_diagonal(c, (GF2,))
