@@ -19,17 +19,7 @@ from .clutters import (
 )
 from .errors import ConsistencyError, SizeGuardError
 from .hochster import BettiTable, betti_table, is_linear_by_betti, linear_strand_betti, multigraded_betti
-from .ideals import (
-    AdmissibleSequence,
-    SquarefreeIdeal,
-    alexander_dual,
-    check_admissible,
-    edge_ideal,
-    linkage_ideal,
-    parts_sequence,
-    squarefree_colon,
-    strand_clutter,
-)
+from .ideals import SquarefreeIdeal, alexander_dual, edge_ideal, linkage_ideal, squarefree_colon
 from .linalg import GF2, QQ, ChainComplex, Field, Matrix, gf, homology_dims, rank
 from .linearity import LinearityVerdict, ProjectionCertificate, complement_linearity_agrees, is_linear
 from .lyubeznik import CrossCheckReport, LyubeznikColumn, cross_check_betti, lyubeznik_last_column

@@ -176,9 +176,11 @@ def _field_arg(text: str) -> Field:
         return QQ
     if text.startswith("fp:"):
         try:
-            return Field(int(text[3:]))
+            f = Field(int(text[3:]))
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
+        if f.characteristic:  # QQ is spelled q
+            return f
     raise argparse.ArgumentTypeError("field must be q or fp:<prime>")
 
 

@@ -295,7 +295,7 @@ def restrict(c: Clutter, w: Iterable[int]) -> Clutter:
     w = frozenset(w)
     if not _in_table(w, c.n):
         raise ValueError("restriction set out of range")
-    return _on_subset(c.vertices.names, c.vertices.parts, w, (e for e in c.edges if e <= w))
+    return _on_subset(c.vertices, w, (e for e in c.edges if e <= w))
 
 
 def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
@@ -315,14 +315,14 @@ def ranked_projection(c: Clutter, parts: Iterable[int]) -> Clutter:
     chosen = sorted(set(parts))
     w = frozenset(v for p in chosen for v in c.vertices.part_members(p))
     # every image has one vertex in each chosen part, so none contains another
-    return _on_subset(c.vertices.names, c.vertices.parts, w, {e & w for e in c.edges})
+    return _on_subset(c.vertices, w, {e & w for e in c.edges})
 
 
-def _on_subset(names: Sequence[str], part_of, w: Iterable[int], edges: Iterable[frozenset[int]]) -> Clutter:
-    """The clutter of the given distinct subsets of w on the sub-table on w:
-    the vertices v of w renumbered in order, named names[v], and their parts
-    part_of[v] (a tuple over all vertices or a dict over w) renumbered
-    compactly in their original order."""
+def _on_subset(t: VertexTable, w: Iterable[int], edges: Iterable[frozenset[int]]) -> Clutter:
+    """The clutter of the given distinct subsets of w on the sub-table of t
+    on w: the vertices v of w renumbered in order, keeping their names, and
+    their parts renumbered compactly in their original order."""
+    names, part_of = t.names, t.parts
     order = sorted(w)
     renum = {v: i for i, v in enumerate(order)}
     part_renum = {p: i for i, p in enumerate(sorted({part_of[v] for v in order}))}

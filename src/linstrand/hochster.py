@@ -286,7 +286,10 @@ def multigraded_betti(
     At sigma = {} and i = -1 this is 1, the reduced homology of {emptyset}
     in degree -1, which Hochster's formula places there; betti_table records
     no i < 0, so this is the one cell where the two differ.  A sigma with a
-    vertex outside the table raises ValueError."""
+    vertex outside the table, or a hom_degree that is not an int (a bool
+    would pass for 0 or 1), raises ValueError."""
+    if type(hom_degree) is not int:
+        raise ValueError(f"homological degree must be an int, got {hom_degree!r}")
     return _betti_degrees(i, (hom_degree,), sigma, f, max_vertices)[0]
 
 

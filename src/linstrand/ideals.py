@@ -4,9 +4,8 @@ A squarefree monomial ideal is recorded by its unique minimal generating set
 of squarefree monomials, each a subset of the vertex table; the polynomial
 ring never appears.  The zero ideal is the empty antichain.  The two ideal
 constructions the strand machinery needs are the Alexander dual (minimal
-vertex covers of the generator supports) and, for an edge ideal inside a
-regular sequence of disjoint covers, the reduction to the supports of the
-sequence and the linkage ideal the reduction links to.
+vertex covers of the generator supports) and the linkage ideal that the
+sequence of part products links a cover ideal to.
 """
 
 from __future__ import annotations
@@ -23,20 +22,14 @@ from .clutters import (
     _in_table,
     _mask,
     _minimal_cover_masks,
-    _on_subset,
     d_partite_complement,
 )
 from .errors import DEFAULT_MAX_VERTICES, check_vertex_guard
 
 __all__ = [
     "SquarefreeIdeal",
-    "AdmissibleSequence",
-    "AdmissibilityReport",
     "edge_ideal",
     "alexander_dual",
-    "check_admissible",
-    "strand_clutter",
-    "parts_sequence",
     "linkage_ideal",
     "squarefree_colon",
 ]
@@ -77,85 +70,6 @@ def alexander_dual(i: SquarefreeIdeal) -> SquarefreeIdeal:
     if i.is_zero:
         raise ValueError("the zero ideal has no Alexander dual")
     return SquarefreeIdeal(i.vertices, _frozen(_minimal_cover_masks(i.generators)))
-
-
-@dataclass(frozen=True)
-class AdmissibleSequence:
-    """Supports of a candidate regular sequence of squarefree monomials.
-
-    The supports must be nonempty and pairwise disjoint; whether the sequence
-    is admissible for a given ideal (right length, every support a vertex
-    cover of the generators) is the business of check_admissible.
-    """
-
-    supports: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        sups = tuple(frozenset(s) for s in self.supports)
-        if not sups:
-            raise ValueError("need at least one support")
-        if any(not s for s in sups):
-            raise ValueError("supports must be nonempty")
-        for s, t in itertools.combinations(sups, 2):
-            if s & t:
-                raise ValueError("supports must be pairwise disjoint")
-        object.__setattr__(self, "supports", sups)
-
-    @property
-    def d(self) -> int:
-        return len(self.supports)
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    reason: str | None = None
-
-
-def check_admissible(i: SquarefreeIdeal, seq: AdmissibleSequence) -> AdmissibilityReport:
-    """Is seq admissible for i: supports within range, as many of them as the
-    least generator degree, and each one a vertex cover of the generators."""
-    n = i.vertices.n
-    for s in seq.supports:
-        if not _in_table(s, n):
-            return AdmissibilityReport(False, "support out of range")
-    if i.is_zero:
-        return AdmissibilityReport(False, "the zero ideal admits no sequence")
-    if seq.d != i.min_degree:
-        return AdmissibilityReport(
-            False, f"sequence has length {seq.d}, least generator degree is {i.min_degree}"
-        )
-    for s in seq.supports:
-        for g in i.generators:
-            if not (s & g):
-                return AdmissibilityReport(
-                    False,
-                    f"support {i.vertices.label(s)} misses generator {i.vertices.label(g)}",
-                )
-    return AdmissibilityReport(True)
-
-
-def strand_clutter(i: SquarefreeIdeal, seq: AdmissibleSequence) -> Clutter:
-    """The d-partite d-uniform clutter of the least-degree generators, on the
-    union of the sequence supports with one part per support.
-
-    Every generator of degree d = len(seq) meets each of the d disjoint
-    covering supports (check_admissible), so it takes exactly one vertex
-    from each and lies in their union.  The edge ideal of the result shares
-    its first linear strand with i.
-    """
-    report = check_admissible(i, seq)
-    if not report.ok:
-        raise ValueError(f"sequence is not admissible: {report.reason}")
-    part_of = {v: k for k, s in enumerate(seq.supports) for v in s}
-    edges = (g for g in i.generators if len(g) == seq.d)
-    return _on_subset(i.vertices.names, part_of, part_of.keys(), edges)
-
-
-def parts_sequence(c: Clutter) -> AdmissibleSequence:
-    """The sequence of part products of a clutter; admissible for its edge
-    ideal by d-partiteness."""
-    return AdmissibleSequence(c.part_sets())
 
 
 def linkage_ideal(c: Clutter) -> SquarefreeIdeal:

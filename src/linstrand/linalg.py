@@ -82,6 +82,15 @@ def gf(p: int) -> Field:
     return Field(p)
 
 
+def _integral(x) -> bool:
+    """Whether x equals an int; False for an infinity or NaN, which int()
+    refuses."""
+    try:
+        return x == int(x)
+    except (OverflowError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class Matrix:
     """A sparse integer matrix: (row, col, value) triples, sorted, no zeros."""
@@ -100,9 +109,9 @@ class Matrix:
             if type(e) is not tuple or type(r) is not int or type(c) is not int or type(v) is not int:
                 if bool in (type(r), type(c), type(v)):
                     raise ValueError(f"bool in entry ({r!r},{c!r},{v!r})")
-                if v != int(v):
+                if not _integral(v):
                     raise ValueError(f"non-integer entry {v!r} at ({r},{c})")
-                if r != int(r) or c != int(c):
+                if not (_integral(r) and _integral(c)):
                     raise ValueError(f"non-integer index ({r!r},{c!r})")
                 e = (int(r), int(c), int(v))
             norm.append(e)

@@ -61,12 +61,12 @@ def is_linear(c: Clutter, max_vertices: int = DEFAULT_MAX_VERTICES) -> Linearity
 
     An edgeless clutter is linear by convention (there is no pair of edges to
     scatter, and no resolution to compare against).  The vertex guard fires
-    before the transversals are listed.
+    first, on a one-part clutter too, before the transversals are listed.
     """
+    check_vertex_guard(c.n, max_vertices)
     d = c.d
     if d == 1:
         return LinearityVerdict(True)
-    check_vertex_guard(c.n, max_vertices)
     transversals = c.complete_edges()
     for e, e2 in itertools.combinations(transversals, 2):
         w = e | e2

@@ -74,3 +74,11 @@ def test_a_short_oracle_run_is_correct(tmp_path):
     last = _short_run(tmp_path, "--workload", "oracle")
     assert last["correct"] is True
     assert last["failed"] == 0
+
+
+def test_a_short_cli_small_run_is_correct(tmp_path):
+    # about 2 s; its verify and linear calls reach the ideals module and the
+    # sub-table builder behind restrict and ranked_projection
+    last = _short_run(tmp_path, "--workload", "cli-small")
+    assert last["correct"] is True
+    assert last["failed"] == 0

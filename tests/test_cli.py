@@ -353,9 +353,10 @@ def test_field_argument_validation(capsys):
     inst = path_of("six_of_eight_transversals.json")
     code, out, _ = run(capsys, "betti", inst, "--field", "fp:7", "--format", "json")
     assert code == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["betti", inst, "--field", "fp:4"])
-    assert exc.value.code == 2
+    for bad in ("fp:4", "fp:0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", inst, "--field", bad])
+        assert exc.value.code == 2, bad
     capsys.readouterr()
 
 

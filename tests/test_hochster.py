@@ -295,6 +295,13 @@ def test_a_degree_cap_that_is_not_an_int_is_rejected(cap):
         betti_table(ideal(3, {0, 1}, {1, 2}), QQ, degree_cap=cap)
 
 
+@pytest.mark.parametrize("degree", [True, 1.5, "1"], ids=["bool", "float", "str"])
+def test_a_homological_degree_that_is_not_an_int_is_rejected(degree):
+    # unchecked, True acts as degree 1 and 1.5 fails inside the kernel
+    with pytest.raises(ValueError, match="homological degree must be an int"):
+        multigraded_betti(ideal(3, {0, 1}, {1, 2}), degree, frozenset({0, 1, 2}), QQ)
+
+
 @pytest.mark.parametrize("sigma", [{0, 1, 3, 99}, {-1, 0}], ids=["above", "negative"])
 def test_multidegree_outside_the_table_is_rejected(sigma):
     i = ideal(4, {0, 1}, {1, 3})

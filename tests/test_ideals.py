@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from linstrand import (
     GF2,
     QQ,
-    AdmissibleSequence,
     SizeGuardError,
     Clutter,
     SquarefreeIdeal,
     VertexTable,
     alexander_dual,
-    check_admissible,
     complete_clutter,
     d_partite_complement,
     edge_ideal,
@@ -21,10 +19,8 @@ from linstrand import (
     linear_strand_betti,
     linkage_ideal,
     minimal_vertex_covers,
-    parts_sequence,
     random_clutter,
     squarefree_colon,
-    strand_clutter,
 )
 
 from helpers import seeded_random_instance
@@ -76,70 +72,6 @@ def test_dual_is_an_involution():
         assert alexander_dual(alexander_dual(i)) == i
 
 
-def test_admissibility_diagnostics():
-    t = names(4)
-    i = SquarefreeIdeal(t, (frozenset({0, 1}), frozenset({2, 3})))
-    ok = AdmissibleSequence((frozenset({0, 2}), frozenset({1, 3})))
-    assert check_admissible(i, ok).ok
-
-    out_of_range = AdmissibleSequence((frozenset({0, 9}), frozenset({1, 3})))
-    r = check_admissible(i, out_of_range)
-    assert not r.ok and "range" in r.reason
-
-    wrong_length = AdmissibleSequence((frozenset({0, 2}),))
-    r = check_admissible(i, wrong_length)
-    assert not r.ok and "length" in r.reason
-
-    misses_a_generator = AdmissibleSequence((frozenset({0, 1}), frozenset({2, 3})))
-    r = check_admissible(i, misses_a_generator)
-    assert not r.ok
-
-
-def test_admissible_sequence_requires_disjoint_supports():
-    with pytest.raises(ValueError):
-        AdmissibleSequence((frozenset({0, 1}), frozenset({1, 2})))
-    with pytest.raises(ValueError):
-        AdmissibleSequence((frozenset({0}), frozenset()))
-
-
-def test_strand_clutter_keeps_degree_d_generators_only():
-    t = names(4)
-    i = SquarefreeIdeal(t, (frozenset({0, 1}), frozenset({0, 2, 3})))
-    seq = AdmissibleSequence((frozenset({0}), frozenset({1, 2})))
-    c = strand_clutter(i, seq)
-    assert c.d == 2
-    assert c.n == 3  # vertices 0,1,2
-    assert len(c.edges) == 1
-    assert c.vertices.parts == (0, 1, 1)
-    assert c.vertices.names == ("x1", "x2", "x3")
-
-
-def test_strand_clutter_of_single_generator():
-    t = names(2)
-    i = SquarefreeIdeal(t, (frozenset({0, 1}),))
-    seq = AdmissibleSequence((frozenset({0}), frozenset({1})))
-    c = strand_clutter(i, seq)
-    assert len(c.edges) == 1 and c.d == 2
-
-
-def test_strand_clutter_rejects_inadmissible_sequence():
-    t = names(4)
-    i = SquarefreeIdeal(t, (frozenset({0, 1}), frozenset({2, 3})))
-    with pytest.raises(ValueError):
-        strand_clutter(i, AdmissibleSequence((frozenset({0, 1}), frozenset({2, 3}))))
-
-
-def test_parts_sequence_is_admissible_for_edge_ideals():
-    for seed in range(20):
-        c = seeded_random_instance(seed)
-        if not c.edges:
-            continue
-        i = edge_ideal(c)
-        seq = parts_sequence(c)
-        assert check_admissible(i, seq).ok
-        assert strand_clutter(i, seq) == c
-
-
 @st.composite
 def ideals_over_a_clutter(draw):
     """A clutter c (n <= 10, some part of two vertices or more) and the
@@ -165,12 +97,11 @@ def ideals_over_a_clutter(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(ideals_over_a_clutter(), st.sampled_from((QQ, GF2, gf(3))))
-def test_strand_clutter_has_the_linear_strand_of_the_ideal(case, f):
-    """Generators of degree above d leave the linear strand alone: the ideal's
-    oracle diagonal is the strand of its strand clutter, graded and
-    multigraded."""
+def test_generators_above_degree_d_leave_the_linear_strand_alone(case, f):
+    """The oracle diagonal of the ideal, graded and multigraded, is the
+    strand of the clutter of its degree-d generators."""
     c, i = case
-    s = first_linear_strand(strand_clutter(i, parts_sequence(c)))
+    s = first_linear_strand(c)
     graded, multigraded = linear_strand_betti(i, f)
     assert graded == dict(enumerate(s.ranks()))
     assert multigraded == {(k, a): 1 for k, level in enumerate(s.levels) for a in level}

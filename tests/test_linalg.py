@@ -221,12 +221,15 @@ VALID = ((0, 1, 2), (0, 2, -1), (1, 0, 3), (2, 2, 1))
         ((1, 1, 2.5), "non-integer"),
         ((0.5, 1, 1), "non-integer"),
         ((1, 2.9, 1), "non-integer"),
+        ((1, 1, float("inf")), "non-integer"),
+        ((float("inf"), 1, 1), "non-integer"),
+        ((1, 1, float("nan")), "non-integer"),
         ((1, 1, True), "bool"),
         ((True, 1, 1), "bool"),
     ],
     ids=[
         "duplicate", "negative-row", "negative-col", "row-range", "col-range", "zero", "fraction", "float",
-        "float-row", "float-col", "bool", "bool-row",
+        "float-row", "float-col", "inf", "inf-row", "nan", "bool", "bool-row",
     ],
 )
 def test_matrix_rejects_each_bad_entry(bad, message, shuffled):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from linstrand import (
     GF2,
     QQ,
+    SizeGuardError,
     complement_linearity_agrees,
     complete_clutter,
     d_partite_complement,
@@ -158,3 +159,15 @@ def test_linearity_guard_fires_before_the_transversals_are_listed(monkeypatch):
     for call in (is_linear, complement_linearity_agrees):
         with pytest.raises(SizeGuardError, match=f"{c.n} vertices exceeds the guard of 5"):
             call(c, max_vertices=5)
+
+
+@pytest.mark.parametrize("call", [is_linear, complement_linearity_agrees])
+def test_a_one_part_clutter_meets_the_guard_too(call):
+    # the d = 1 shortcut used to answer "linear" before the guard was read
+    c = complete_clutter([30])
+    with pytest.raises(SizeGuardError, match="30 vertices exceeds the guard of 24"):
+        call(c)
+    for guard in ("x", 1.5, True, None):
+        with pytest.raises(ValueError, match="max_vertices must be an int") as caught:
+            call(c, max_vertices=guard)
+        assert caught.type is ValueError
